@@ -201,7 +201,7 @@ Simulation Simulation::from_config(SimulationConfig config) {
     } else {
       // backend=mpi always goes through the sharded composite (even for one
       // shard per rank), so the rank map is validated and every rank
-      // drives the same split-phase schedule.
+      // drives the same dependency-driven step.
       Partition partition(config.grid, shard_grid, cell_weights);
       if (distributed) {
         // Group shards onto ranks weighted by summed per-cell cost — the
@@ -225,8 +225,7 @@ Simulation Simulation::from_config(SimulationConfig config) {
         partition.assign_ranks(MpiRuntime::size(), shard_costs);
       }
       solver = std::make_unique<ShardedSolver>(std::move(partition),
-                                               make_shard, config.backend,
-                                               config.schedule);
+                                               make_shard, config.backend);
     }
   }
 
@@ -473,7 +472,6 @@ std::string Simulation::summary() const {
       }
     }
   }
-  if (sharded != nullptr) os << " schedule=" << sharded->schedule();
   if (config_.lts) os << " lts_clusters=" << solver_->lts_num_clusters();
   os << " t_end=" << config_.t_end;
   return os.str();

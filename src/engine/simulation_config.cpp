@@ -175,10 +175,6 @@ void apply_pair(SimulationConfig& config, const std::string& key,
     EXASTP_CHECK_MSG(value == "inprocess" || value == "mpi",
                      "backend=" + value + " (inprocess|mpi)");
     config.backend = value;
-  } else if (key == "schedule") {
-    EXASTP_CHECK_MSG(value == "deps" || value == "lockstep",
-                     "schedule=" + value + " (deps|lockstep)");
-    config.schedule = value;
   } else if (key == "precision") {
     config.precision = parse_precision(value);
   } else if (key == "autotune") {
@@ -315,11 +311,9 @@ std::string canonical_config_string(const SimulationConfig& config) {
   // autotune reason too: cost-weighted shard splits are bitwise-identical
   // to unweighted ones, so balanced and unbalanced runs of one config
   // must share an entry. The lts keys ARE present: a multi-cluster
-  // schedule changes the computed bytes. schedule= is absent for the
-  // threads reason: the dependency-driven and lockstep step schedules are
-  // bitwise-identical, so they must share a memoization entry.
-  // shards_per_rank IS present: under shards=auto it changes the resolved
-  // decomposition, which (like shards=) names the run's topology.
+  // schedule changes the computed bytes. shards_per_rank IS present: under
+  // shards=auto it changes the resolved decomposition, which (like
+  // shards=) names the run's topology.
   os << "|cells=" << config.grid.cells[0] << "x" << config.grid.cells[1]
      << "x" << config.grid.cells[2];
   os << "|extent=" << exact(config.grid.extent[0]) << ","
@@ -434,7 +428,6 @@ std::vector<std::string> accepted_config_keys() {
           "shards",
           "shards_per_rank",
           "backend",
-          "schedule",
           "autotune",
           "lts",
           "lts_clusters",
@@ -496,10 +489,6 @@ std::string simulation_usage() {
       "  backend=KIND    halo exchange: inprocess (default) | mpi"
       " (multi-shard ranks,\n"
       "                  -DEXASTP_WITH_MPI=ON builds under mpirun)\n"
-      "  schedule=KIND   sharded step schedule: deps (default,"
-      " dependency-driven,\n"
-      "                  pipelined halos) | lockstep (per-phase barrier);"
-      " bitwise-identical\n"
       "  autotune=PATH   fused-block autotune table: load, measure missing"
       " entries,\n"
       "                  save back (bitwise-neutral; see docs/precision.md)\n"

@@ -90,12 +90,6 @@ struct SimulationConfig {
   /// the same decomposition with and without MPI. Results are
   /// bitwise-identical for every grouping.
   int shards_per_rank = 0;
-  /// Step schedule of the sharded solver: "deps" (default) advances each
-  /// shard as its halo inputs arrive, pipelining the next phase's sends
-  /// behind other shards' compute; "lockstep" barriers every phase.
-  /// Bitwise-identical results either way, so this key is pure performance
-  /// state and excluded from the canonical config string.
-  std::string schedule = "deps";
   /// Kernel storage precision: kF64 (default) runs the paper's double
   /// kernels; kF32 stores the predictor's DOF/flux/derivative tensors in
   /// float inside the kernel (half the bytes through the memory-bound GEMM

@@ -40,9 +40,9 @@ struct HaloPlan {
 };
 
 /// Interior/boundary split of a grid view's owned cells, the basis of the
-/// split-phase exchange protocol (solver/exchange_backend.h): `boundary`
-/// lists cells with at least one face neighbour in halo storage — they read
-/// exchanged data, so their sweep must wait for the exchange to complete —
+/// overlapped halo exchange (solver/exchange_backend.h): `boundary` lists
+/// cells with at least one face neighbour in halo storage — they read
+/// exchanged data, so their sweep must wait for the halos to arrive —
 /// and `interior` the rest, which a solver can traverse while halos are
 /// still in flight. Both lists are ascending, and together they cover
 /// every owned cell exactly once. A whole-domain grid has no halo slots,

@@ -36,7 +36,8 @@ AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
                    "kernel layout does not match the PDE");
   // Halo slots extend every buffer so the corrector's neighbour accessor
   // is one base pointer for owned and exchanged cells alike; only qavg's
-  // halo is ever filled (step_phase_halo), the others stay zero.
+  // halo is ever filled (step_phase_halo_fields; under LTS also
+  // qavg_half's and qavg_sum's), the others stay zero.
   const std::size_t total =
       static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *
       cell_size_;
@@ -518,12 +519,12 @@ std::vector<SolverBase::LtsClusterStats> AderDgSolver::lts_cluster_stats()
 
 std::vector<SolverBase::PhaseHaloField> AderDgSolver::step_phase_halo_fields(
     int phase) {
-  double* primary = step_phase_halo(phase);
-  if (primary == nullptr) return {};
-  std::vector<PhaseHaloField> fields{PhaseHaloField{primary, 0}};
+  const bool correct = lts_enabled_ ? phase % 2 == 1 : phase == 1;
+  if (!correct) return {};
+  std::vector<PhaseHaloField> fields{PhaseHaloField{qavg_.data(), 0}};
   if (num_clusters_ > 1) {
     // Over-exchange by design: not every correct phase reads every
-    // buffer, but a fixed field set keeps all shards' posts structurally
+    // buffer, but a fixed field set keeps all shards' exchanges structurally
     // agreed without any cross-shard negotiation.
     fields.push_back(PhaseHaloField{qavg_half_.data(), 1});
     fields.push_back(PhaseHaloField{qavg_sum_.data(), 2});

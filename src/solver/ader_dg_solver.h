@@ -104,8 +104,8 @@ class AderDgSolver final : public SolverBase {
   /// corrector reads neighbour qavg tensors, so its halo field is qavg —
   /// and its sweep splits into an interior sweep (cells with no halo
   /// neighbour, runnable while the qavg exchange is in flight) and the
-  /// boundary remainder after wait(). The predictor reads no neighbour
-  /// data, so phase 0 is all interior.
+  /// boundary remainder once qavg is delivered. The predictor reads no
+  /// neighbour data, so phase 0 is all interior.
   ///
   /// Under clustered LTS the protocol generalizes to 2 * 2^(K-1) phases:
   /// phase 2s = predict fine substep s (clusters aligned at s, interior-
@@ -119,10 +119,6 @@ class AderDgSolver final : public SolverBase {
   void step_phase(int phase, double dt) override;
   void step_phase_interior(int phase, double dt) override;
   void step_phase_boundary(int phase, double dt) override;
-  double* step_phase_halo(int phase) override {
-    const bool correct = lts_enabled_ ? phase % 2 == 1 : phase == 1;
-    return correct ? qavg_.data() : nullptr;
-  }
   std::vector<PhaseHaloField> step_phase_halo_fields(int phase) override;
 
   /// Read-only view of a cell's padded AoS DOFs.

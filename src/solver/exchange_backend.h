@@ -1,28 +1,33 @@
-// Pluggable halo-exchange backends with a split-phase protocol.
+// Pluggable halo-exchange backends.
 //
-// PR 4 left the in-process swap memcpy as "the MPI seam". This interface
-// cashes that in: an ExchangeBackend moves every HaloPlan's plan-ordered
-// plane of cell_size-double DOF tensors from source shards into destination
-// halo blocks, in two phases —
+// An ExchangeBackend moves every HaloPlan's plan-ordered plane of
+// cell_size-double DOF tensors from source shards into destination halo
+// blocks: the in-process backend by a zero-copy gather between shards of
+// one process, the MPI backend additionally by MPI_Isend/MPI_Irecv for the
+// links that cross a rank boundary.
 //
-//   post(fields)   start moving the halo data (in-process: deliver it
-//                  synchronously; MPI: MPI_Irecv into the halo blocks +
-//                  pack and MPI_Isend the outgoing planes);
-//   wait()         block until every halo slot of the posted fields is
-//                  valid.
-//
-// Between post() and wait() the driving solver runs the phase's *interior*
-// sweep (cells that read no halo data — see CellClassification in
-// mesh/partition.h), so on a distributed run the halo latency hides behind
-// compute instead of serializing in front of it. The boundary sweep runs
-// after wait(). Contract for the in-flight window: the exchanged field's
-// owned cells must not be written (the backend may still be reading them)
-// and its halo slots must not be read (the backend is writing them); both
-// steppers' interior sweeps satisfy this by construction.
+// The protocol is dependency-driven, per shard and per phase. One step is
+// bracketed by sched_begin_step / sched_end_step; in between the driving
+// scheduler (ShardedSolver::step) tells the backend, shard by shard, when
+// outgoing bytes become final (sched_capture: the shard completed the
+// previous phase) and when a shard is ready to receive (sched_open: it
+// finished reading the previous phase's halos), and asks which shards'
+// halos have fully arrived (sched_delivered). The backend moves bytes as
+// early as the protocol allows: a capture whose receiver has already
+// opened delivers immediately (zero-copy in-process; an eager MPI_Isend
+// across ranks), otherwise the face plane is packed into a staging buffer
+// at capture time — the source keeps computing into the same field, so the
+// bytes of "phase start" must be taken right then. Delivery into a halo
+// block happens only after the receiver opened the phase (it may still be
+// reading the previous phase's halos), which makes the reordering
+// WAR-free; per (link, channel) transfers are produced and consumed in
+// phase order, so matching is unambiguous (MPI's non-overtaking rule pairs
+// same-tag messages in order).
 //
 // Whatever the backend, the bytes delivered into a halo slot are exactly
-// the source cell's tensor, so sharded stepping stays bitwise-identical to
-// the monolithic path for every backend, decomposition and thread count.
+// the source cell's tensor at the start of the phase, so sharded stepping
+// stays bitwise-identical to the monolithic path for every backend,
+// decomposition and thread count.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "exastp/common/check.h"
 #include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
@@ -41,9 +45,9 @@ namespace exastp {
 /// first, halo blocks appended) for every shard materialized in this
 /// process, nullptr for the others. `channel` is a small non-negative id
 /// namespacing the transfer (the MPI tag space), so several fields — the
-/// LTS corrector reads qavg, qavg_half and qavg_sum halos — move inside
-/// one posted exchange without mixing bytes. Channels within one post
-/// must be distinct.
+/// LTS corrector reads qavg, qavg_half and qavg_sum halos — move in the
+/// same phase without mixing bytes. Channels within one phase must be
+/// distinct.
 struct ExchangeField {
   std::vector<double*> shard_fields;
   int channel = 0;
@@ -59,79 +63,21 @@ class ExchangeBackend {
   /// Registry-style key: "inprocess" or "mpi".
   virtual std::string name() const = 0;
 
-  /// Starts refreshing the halo rings of one logical field on channel 0.
+  /// Starts a step. `fields_by_phase[phase]` is that phase's halo fields,
+  /// one ExchangeField per channel (empty = the phase exchanges nothing).
   /// The in-process backend needs all shard entries, the MPI backend
-  /// exactly this rank's. No exchange may already be in flight.
-  ///
-  /// Non-virtual wrappers time every backend uniformly (the exchange_post /
-  /// exchange_wait telemetry spans); backends implement do_post/do_wait.
-  void post(const std::vector<double*>& shard_fields) {
-    post_fields({ExchangeField{shard_fields, 0}});
-  }
-
-  /// Multi-field form: every field's halo rings refresh inside the same
-  /// posted exchange (the backends allow only one in flight at a time, so
-  /// phases that read several fields must post them together).
-  void post_fields(const std::vector<ExchangeField>& fields) {
-    ScopedSpan span(SpanId::kExchangePost);
-    do_post(fields);
-  }
-
-  /// Completes the posted exchange; afterwards every halo slot of the
-  /// posted fields holds its neighbour's tensor. The span it records is
-  /// the *unhidden* halo latency — whatever the interior sweep did not
-  /// cover.
-  void wait() {
-    ScopedSpan span(SpanId::kExchangeWait);
-    do_wait();
-  }
-
-  /// post() + wait(): the serialized exchange for drivers that do not
-  /// overlap (benches measuring the unhidden halo cost).
-  void exchange(const std::vector<double*>& shard_fields) {
-    post(shard_fields);
-    wait();
-  }
-
-  // --- Dependency-scheduled protocol (ShardedSolver schedule=deps) ------
-  //
-  // Alternative to the lockstep post/wait pair for over-decomposed ranks:
-  // per-shard, per-phase pipelining. One step is bracketed by
-  // sched_begin_step / sched_end_step; in between the driving scheduler
-  // tells the backend, shard by shard, when outgoing bytes become final
-  // (sched_capture: the shard completed the previous phase) and when a
-  // shard is ready to receive (sched_open: it finished reading the
-  // previous phase's halos), and asks which shards' halos have fully
-  // arrived (sched_delivered). The backend moves bytes as early as the
-  // protocol allows: a capture whose receiver has already opened delivers
-  // immediately (zero-copy in-process; an eager MPI_Isend across ranks),
-  // otherwise the face plane is packed into a staging buffer at capture
-  // time — the source keeps computing into the same field, so the bytes
-  // of "phase start" must be taken right then. Delivery into a halo block
-  // happens only after the receiver opened the phase (it may still be
-  // reading the previous phase's halos), which makes the reordering
-  // WAR-free; per (link, channel) transfers are produced and consumed in
-  // phase order, so matching is unambiguous (MPI's non-overtaking rule
-  // pairs same-tag messages in order).
-  //
-  // The bytes every halo slot receives are exactly the lockstep bytes, so
-  // scheduled stepping stays bitwise-identical to lockstep (and to the
-  // monolithic solver) for every decomposition.
-
-  /// Whether this backend implements the scheduled protocol.
-  virtual bool supports_scheduled() const { return false; }
-
-  /// Starts a scheduled step. `fields_by_phase[phase]` is that phase's
-  /// field list in the post_fields form (empty = the phase exchanges
-  /// nothing); the vector must outlive the step. Resets per-link state.
-  void sched_begin_step(
-      const std::vector<std::vector<ExchangeField>>& fields_by_phase) {
-    do_sched_begin_step(fields_by_phase);
-  }
+  /// exactly this rank's. The vector must outlive the step. Resets
+  /// per-link state.
+  virtual void sched_begin_step(
+      const std::vector<std::vector<ExchangeField>>& fields_by_phase) = 0;
   /// Source-side: shard `shard` completed phase `phase - 1` (or the
   /// previous step, for phase 0), so its outgoing planes for `phase` are
   /// final — deliver or stage them now. Call once per (shard, phase), in
   /// ascending phase order per shard.
+  ///
+  /// This and sched_open are non-virtual so one exchange_post telemetry
+  /// span times the transfer work of every backend uniformly; backends
+  /// implement do_sched_capture / do_sched_open.
   void sched_capture(int shard, int phase) {
     ScopedSpan span(SpanId::kExchangePost);
     do_sched_capture(shard, phase);
@@ -146,59 +92,34 @@ class ExchangeBackend {
   /// True once every halo slot `shard` reads in `phase` holds its
   /// neighbour's bytes (trivially true for non-exchanging phases). The
   /// shard's boundary sweep for the phase may then run.
-  bool sched_delivered(int shard, int phase) const {
-    return do_sched_delivered(shard, phase);
-  }
+  virtual bool sched_delivered(int shard, int phase) const = 0;
   /// True while some opened (shard, phase) still waits on arrivals — the
   /// scheduler's "communication in flight" predicate for the overlap
   /// accounting.
-  bool sched_any_pending() const { return do_sched_any_pending(); }
+  virtual bool sched_any_pending() const = 0;
   /// Progresses in-flight transfers (MPI_Testsome-style). `block` waits
   /// until at least one delivery lands — only legal when some opened
   /// shard is undelivered (a blocking poll with nothing in flight is a
   /// scheduler bug and fails loudly).
-  void sched_poll(bool block) { do_sched_poll(block); }
+  virtual void sched_poll(bool block) = 0;
   /// Finishes the step: drains outstanding sends and verifies every
   /// exchanging (shard, phase) was opened and delivered.
-  void sched_end_step() { do_sched_end_step(); }
+  virtual void sched_end_step() = 0;
 
   /// Halo bytes delivered into this process's shards per exchange (the
   /// logical traffic; identical for every backend on a local run).
   std::size_t payload_bytes_per_exchange() const { return payload_bytes_; }
-  /// Bytes actually memcpy'd per exchange. The zero-copy in-process swap
-  /// gathers each source plane straight into the peer's halo block, so
-  /// this equals the payload (it used to be 3x: pack + swap + unpack);
+  /// Bytes memcpy'd per exchange when every plane delivers directly. The
+  /// zero-copy in-process gather copies each source plane straight into
+  /// the peer's halo block, so this equals the payload (a plane staged
+  /// because its receiver had not opened yet costs one extra pack copy);
   /// the MPI backend only copies on the send side (receives land directly
   /// in the halo block).
   std::size_t copied_bytes_per_exchange() const { return copied_bytes_; }
 
  protected:
-  virtual void do_post(const std::vector<ExchangeField>& fields) = 0;
-  virtual void do_wait() = 0;
-
-  // Scheduled-protocol hooks; the defaults fail loudly so a backend that
-  // answers supports_scheduled() == false is never driven half-way.
-  virtual void do_sched_begin_step(
-      const std::vector<std::vector<ExchangeField>>& /*fields_by_phase*/) {
-    fail_unscheduled();
-  }
-  virtual void do_sched_capture(int /*shard*/, int /*phase*/) {
-    fail_unscheduled();
-  }
-  virtual void do_sched_open(int /*shard*/, int /*phase*/) {
-    fail_unscheduled();
-  }
-  virtual bool do_sched_delivered(int /*shard*/, int /*phase*/) const {
-    fail_unscheduled();
-  }
-  virtual bool do_sched_any_pending() const { fail_unscheduled(); }
-  virtual void do_sched_poll(bool /*block*/) { fail_unscheduled(); }
-  virtual void do_sched_end_step() { fail_unscheduled(); }
-
-  [[noreturn]] static void fail_unscheduled() {
-    EXASTP_FAIL("this exchange backend does not implement the scheduled "
-                "protocol (supports_scheduled() is false)");
-  }
+  virtual void do_sched_capture(int shard, int phase) = 0;
+  virtual void do_sched_open(int shard, int phase) = 0;
 
   std::size_t payload_bytes_ = 0;
   std::size_t copied_bytes_ = 0;

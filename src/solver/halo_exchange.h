@@ -13,20 +13,20 @@
 // backend's intra-rank legs (solver/mpi_exchange.cpp keeps only the links
 // whose both endpoints live on this rank and moves the rest over MPI).
 //
-// Besides the lockstep post/wait pair, LocalLinkSet implements the
-// dependency-scheduled protocol (exchange_backend.h): at capture time a
-// link delivers zero-copy when its receiver has already opened the phase,
-// and otherwise packs the plane into a per-(link, phase) staging buffer —
-// the source keeps computing into the same field, so the bytes must be
-// taken at capture. Staged planes land when the receiver opens.
+// LocalLinkSet implements the dependency-driven protocol
+// (exchange_backend.h): at capture time a link delivers zero-copy when its
+// receiver has already opened the phase, and otherwise packs the plane
+// into a per-(link, phase) staging buffer — the source keeps computing
+// into the same field, so the bytes must be taken at capture. Staged
+// planes land when the receiver opens.
 //
 // InProcessExchange can additionally simulate cross-rank latency: links
 // whose endpoints map to different ranks of the Partition's rank map
 // (Partition::assign_ranks) deliver only after a configurable delay on the
 // steady clock. The delay postpones *when* bytes land, never *what* they
-// are, so latency-injected runs stay bitwise-identical — benches and tests
-// use this to measure and exercise the scheduler's latency hiding without
-// a real multi-rank launch.
+// are, so latency-injected runs stay bitwise-identical — tests use this to
+// reorder deliveries and exercise the scheduler's latency hiding without a
+// real multi-rank launch.
 //
 // The exchange is deterministic: links are walked in a fixed order and
 // every halo slot is written by exactly one plan, so sharded stepping
@@ -44,8 +44,8 @@
 namespace exastp {
 
 /// The intra-process link set: one link per HaloPlan whose source and
-/// destination shards are both materialized here, plus the staging state
-/// of the scheduled protocol. Shared by InProcessExchange and the hybrid
+/// destination shards are both materialized here, plus the per-step
+/// staging state of the protocol. Shared by InProcessExchange and the hybrid
 /// MPI backend's intra-rank legs.
 class LocalLinkSet {
  public:
@@ -57,12 +57,7 @@ class LocalLinkSet {
   LocalLinkSet(const Partition& partition, std::size_t cell_size,
                int only_rank);
 
-  /// Lockstep delivery of one field over every link — the zero-copy
-  /// gather. Shard entries both endpoints of some link name must be
-  /// non-null.
-  void gather_all(const ExchangeField& field) const;
-
-  // Scheduled protocol; mirrors the ExchangeBackend sched_* contract.
+  // Mirrors the ExchangeBackend sched_* contract.
   // `latency_ns > 0` delays cross-rank link deliveries by that much on
   // the steady clock (begin of a step's capture -> earliest delivery).
   void begin_step(const std::vector<std::vector<ExchangeField>>& fields,
@@ -70,7 +65,6 @@ class LocalLinkSet {
   void capture(int shard, int phase);
   void open(int shard, int phase);
   bool delivered(int shard, int phase) const;
-  bool is_open(int shard, int phase) const;
   bool any_pending() const;
   /// Delivers every staged plane whose receiver is open and whose latency
   /// deadline has passed. `block` sleeps until the earliest such deadline
@@ -112,8 +106,8 @@ class LocalLinkSet {
   std::vector<Link> links_;
   std::size_t payload_bytes_ = 0;
 
-  // Per-step scheduled state. Link state is flat (link, phase)-indexed;
-  // shard state (open flag, undelivered incoming count) is (shard, phase).
+  // Per-step state. Link state is flat (link, phase)-indexed; shard state
+  // (open flag, undelivered incoming count) is (shard, phase).
   const std::vector<std::vector<ExchangeField>>* fields_ = nullptr;
   int phases_ = 0;
   std::int64_t latency_ns_ = 0;
@@ -131,41 +125,27 @@ class InProcessExchange final : public ExchangeBackend {
   /// DOF tensor (the solver layout's padded size).
   /// `simulated_cross_rank_latency_seconds > 0` delays every link whose
   /// endpoints the partition's rank map places on different ranks — a
-  /// bench/test knob modelling inter-rank wire time inside one process
+  /// test knob modelling inter-rank wire time inside one process
   /// (bitwise-neutral; see the file comment).
   InProcessExchange(const Partition& partition, std::size_t cell_size,
                     double simulated_cross_rank_latency_seconds = 0.0);
 
   std::string name() const override { return "inprocess"; }
-  bool supports_scheduled() const override { return true; }
+
+  void sched_begin_step(
+      const std::vector<std::vector<ExchangeField>>& fields) override;
+  bool sched_delivered(int shard, int phase) const override;
+  bool sched_any_pending() const override;
+  void sched_poll(bool block) override;
+  void sched_end_step() override;
 
  protected:
-  /// Delivers every shard's halo ring synchronously, one field after
-  /// another. All shard entries of every field must be non-null. Reads
-  /// owned cells, writes only halo slots. The post/wait pairing is
-  /// enforced even though delivery is synchronous, so a driver that would
-  /// deadlock or corrupt halos under the MPI backend fails the local test
-  /// suite too. With simulated latency, wait() sleeps out the remainder
-  /// of the cross-rank delay — the gathered bytes are unaffected (the
-  /// in-flight contract forbids writing the owned cells meanwhile), so
-  /// lockstep latency runs pay the stall without changing results.
-  void do_post(const std::vector<ExchangeField>& fields) override;
-  void do_wait() override;
-
-  void do_sched_begin_step(
-      const std::vector<std::vector<ExchangeField>>& fields) override;
   void do_sched_capture(int shard, int phase) override;
   void do_sched_open(int shard, int phase) override;
-  bool do_sched_delivered(int shard, int phase) const override;
-  bool do_sched_any_pending() const override;
-  void do_sched_poll(bool block) override;
-  void do_sched_end_step() override;
 
  private:
   LocalLinkSet links_;
   std::int64_t latency_ns_ = 0;
-  std::int64_t lockstep_deadline_ns_ = 0;  ///< steady clock; 0 = none
-  bool in_flight_ = false;
 };
 
 }  // namespace exastp

@@ -26,8 +26,8 @@ namespace {
 /// A given (dst_shard, dir, side) face has exactly one source shard, so a
 /// tag uniquely names a link per channel even when one rank pair carries
 /// several shard pairs; the ctor checks the widened space against
-/// MPI_TAG_UB. In the scheduled protocol one (link, channel) tag carries
-/// one message per exchanging phase — MPI's non-overtaking rule pairs the
+/// MPI_TAG_UB. One (link, channel) tag carries one message per
+/// exchanging phase — MPI's non-overtaking rule pairs the
 /// same-tag sequence in phase order on both sides.
 class HybridExchangeBackend final : public ExchangeBackend {
  public:
@@ -104,56 +104,11 @@ class HybridExchangeBackend final : public ExchangeBackend {
     for (const RecvOp& op : recvs_)
       payload_bytes_ += op.count * sizeof(double);
     copied_bytes_ += local_.payload_bytes();
-    requests_.reserve(recvs_.size() + sends_.size());
   }
 
   std::string name() const override { return "mpi"; }
-  bool supports_scheduled() const override { return true; }
 
- protected:
-  void do_post(const std::vector<ExchangeField>& fields) override {
-    EXASTP_CHECK_MSG(!in_flight_, "an exchange is already in flight");
-    requests_.clear();
-    // Every field of the post flies concurrently. Each send op keeps one
-    // pack buffer per field slot so all packed planes stay live until
-    // do_wait; the intra-rank legs deliver synchronously via the
-    // zero-copy gather.
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      const ExchangeField& field = fields[f];
-      EXASTP_CHECK_MSG(
-          field.channel >= 0 && field.channel < kMaxExchangeChannels,
-          "exchange channel out of range");
-      for (const RecvOp& op : recvs_) {
-        double* dst = shard_field(field, op.dst_shard);
-        MPI_Request request;
-        MPI_Irecv(dst + op.offset, static_cast<int>(op.count), MPI_DOUBLE,
-                  op.peer, tag_of(field.channel, op.dst_shard, op.face),
-                  MPI_COMM_WORLD, &request);
-        requests_.push_back(request);
-      }
-      for (SendOp& op : sends_) {
-        if (op.buffers.size() <= f) op.buffers.resize(f + 1);
-        AlignedVector& buffer = op.buffers[f];
-        pack(op, field, buffer);
-        MPI_Request request;
-        MPI_Isend(buffer.data(), static_cast<int>(buffer.size()), MPI_DOUBLE,
-                  op.peer, tag_of(field.channel, op.dst_shard, op.face),
-                  MPI_COMM_WORLD, &request);
-        requests_.push_back(request);
-      }
-      local_.gather_all(field);
-    }
-    in_flight_ = true;
-  }
-
-  void do_wait() override {
-    EXASTP_CHECK_MSG(in_flight_, "wait() without a posted exchange");
-    MPI_Waitall(static_cast<int>(requests_.size()), requests_.data(),
-                MPI_STATUSES_IGNORE);
-    in_flight_ = false;
-  }
-
-  void do_sched_begin_step(
+  void sched_begin_step(
       const std::vector<std::vector<ExchangeField>>& fields) override {
     EXASTP_CHECK_MSG(fields_ == nullptr,
                      "a scheduled step is already in progress");
@@ -176,6 +131,46 @@ class HybridExchangeBackend final : public ExchangeBackend {
     sched_buffers_.clear();
   }
 
+  bool sched_delivered(int shard, int phase) const override {
+    if (phase_fields(phase).empty()) return true;
+    return local_.delivered(shard, phase) &&
+           remote_pending_[state_index(shard, phase)] == 0;
+  }
+
+  bool sched_any_pending() const override {
+    if (local_.any_pending()) return true;
+    for (std::size_t i = 0; i < remote_pending_.size(); ++i)
+      if (opened_[i] != 0 && remote_pending_[i] > 0) return true;
+    return false;
+  }
+
+  void sched_poll(bool block) override {
+    // Opportunistically retire completed sends so their buffers can be
+    // reasoned about (the actual frees happen at end_step).
+    test_some(send_requests_, /*meta=*/nullptr, /*block=*/false);
+    const bool progressed =
+        test_some(recv_requests_, &recv_meta_, /*block=*/false);
+    if (!block || progressed) return;
+    EXASTP_CHECK_MSG(
+        test_some(recv_requests_, &recv_meta_, /*block=*/true),
+        "scheduled exchange deadlock: blocking poll with nothing in flight");
+  }
+
+  void sched_end_step() override {
+    MPI_Waitall(static_cast<int>(send_requests_.size()),
+                send_requests_.data(), MPI_STATUSES_IGNORE);
+    local_.end_step();
+    for (std::size_t i = 0; i < remote_pending_.size(); ++i)
+      EXASTP_CHECK_MSG(remote_pending_[i] == 0,
+                       "scheduled step ended with undelivered halos");
+    fields_ = nullptr;
+    recv_requests_.clear();
+    recv_meta_.clear();
+    send_requests_.clear();
+    sched_buffers_.clear();
+  }
+
+ protected:
   void do_sched_open(int shard, int phase) override {
     local_.open(shard, phase);
     opened_[state_index(shard, phase)] = 1;
@@ -202,7 +197,7 @@ class HybridExchangeBackend final : public ExchangeBackend {
     // Eager sends: the bytes must leave now — the source shard keeps
     // computing into the same field — so each plane is packed into a
     // per-capture buffer that stays live until sched_end_step.
-    for (SendOp& op : sends_) {
+    for (const SendOp& op : sends_) {
       if (op.src_shard != shard) continue;
       for (const ExchangeField& field : fields) {
         sched_buffers_.emplace_back();
@@ -215,45 +210,6 @@ class HybridExchangeBackend final : public ExchangeBackend {
         send_requests_.push_back(request);
       }
     }
-  }
-
-  bool do_sched_delivered(int shard, int phase) const override {
-    if (phase_fields(phase).empty()) return true;
-    return local_.delivered(shard, phase) &&
-           remote_pending_[state_index(shard, phase)] == 0;
-  }
-
-  bool do_sched_any_pending() const override {
-    if (local_.any_pending()) return true;
-    for (std::size_t i = 0; i < remote_pending_.size(); ++i)
-      if (opened_[i] != 0 && remote_pending_[i] > 0) return true;
-    return false;
-  }
-
-  void do_sched_poll(bool block) override {
-    // Opportunistically retire completed sends so their buffers can be
-    // reasoned about (the actual frees happen at end_step).
-    test_some(send_requests_, /*meta=*/nullptr, /*block=*/false);
-    const bool progressed =
-        test_some(recv_requests_, &recv_meta_, /*block=*/false);
-    if (!block || progressed) return;
-    EXASTP_CHECK_MSG(
-        test_some(recv_requests_, &recv_meta_, /*block=*/true),
-        "scheduled exchange deadlock: blocking poll with nothing in flight");
-  }
-
-  void do_sched_end_step() override {
-    MPI_Waitall(static_cast<int>(send_requests_.size()),
-                send_requests_.data(), MPI_STATUSES_IGNORE);
-    local_.end_step();
-    for (std::size_t i = 0; i < remote_pending_.size(); ++i)
-      EXASTP_CHECK_MSG(remote_pending_[i] == 0,
-                       "scheduled step ended with undelivered halos");
-    fields_ = nullptr;
-    recv_requests_.clear();
-    recv_meta_.clear();
-    send_requests_.clear();
-    sched_buffers_.clear();
   }
 
  private:
@@ -270,7 +226,6 @@ class HybridExchangeBackend final : public ExchangeBackend {
     int dst_shard = -1;
     int face = 0;
     std::vector<int> cells;  ///< pack order = the receiver's halo order
-    std::vector<AlignedVector> buffers;  ///< lockstep: one buffer per field
   };
 
   int tag_of(int channel, int dst_shard, int face) const {
@@ -334,10 +289,8 @@ class HybridExchangeBackend final : public ExchangeBackend {
   LocalLinkSet local_;
   std::vector<RecvOp> recvs_;
   std::vector<SendOp> sends_;
-  std::vector<MPI_Request> requests_;  ///< lockstep in-flight requests
-  bool in_flight_ = false;
 
-  // Scheduled-step state.
+  // Per-step state.
   const std::vector<std::vector<ExchangeField>>* fields_ = nullptr;
   int phases_ = 0;
   std::vector<int> remote_pending_;  ///< (shard, phase) -> recvs outstanding

@@ -36,7 +36,7 @@ RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
       cell_size_(layout_.size()),
       vars_(pde_->info().vars) {
   // Halo slots extend every buffer uniformly; only q/stage halos are ever
-  // filled (step_phase_halo), and the element-wise RK sweeps stay on the
+  // filled (step_phase_halo_fields), and the element-wise RK sweeps stay on the
   // owned range.
   const std::size_t total =
       static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *

@@ -70,13 +70,13 @@ class RkDgSolver final : public SolverBase {
   /// stage buffer afterwards — so each phase names that array as its halo
   /// field. The operator traversal splits into an interior sweep (no halo
   /// neighbours, runs while the exchange is in flight) and the boundary
-  /// remainder plus the element-wise stage sweeps after wait().
+  /// remainder plus the element-wise stage sweeps once the halo is delivered.
   int num_step_phases() const override { return 4; }
   void step_phase(int phase, double dt) override;
   void step_phase_interior(int phase, double dt) override;
   void step_phase_boundary(int phase, double dt) override;
-  double* step_phase_halo(int phase) override {
-    return phase == 0 ? q_.data() : stage_.data();
+  std::vector<PhaseHaloField> step_phase_halo_fields(int phase) override {
+    return {PhaseHaloField{phase == 0 ? q_.data() : stage_.data(), 0}};
   }
 
   const double* cell_dofs(int cell) const override {

@@ -12,15 +12,12 @@ namespace exastp {
 ShardedSolver::ShardedSolver(
     Partition partition,
     const std::function<std::unique_ptr<SolverBase>(const Grid&)>& make_shard,
-    const std::string& backend, const std::string& schedule)
+    const std::string& backend)
     : partition_(std::move(partition)),
       global_grid_(partition_.global_spec()),
       distributed_(backend == "mpi"),
-      rank_(distributed_ ? MpiRuntime::rank() : 0),
-      schedule_(schedule) {
+      rank_(distributed_ ? MpiRuntime::rank() : 0) {
   EXASTP_CHECK_MSG(make_shard != nullptr, "sharded solver needs a factory");
-  EXASTP_CHECK_MSG(schedule_ == "deps" || schedule_ == "lockstep",
-                   "schedule= must be deps or lockstep, got " + schedule_);
   if (distributed_) {
     EXASTP_CHECK_MSG(MpiRuntime::initialized(),
                      "backend=mpi needs an MPI launch (mpirun); exastp_run "
@@ -148,54 +145,6 @@ std::vector<ExchangeField> ShardedSolver::phase_exchange_fields(
 }
 
 void ShardedSolver::step(double dt) {
-  if (schedule_ == "deps" && exchange_->supports_scheduled())
-    step_scheduled(dt);
-  else
-    step_lockstep(dt);
-}
-
-void ShardedSolver::step_lockstep(double dt) {
-  const int phases = num_step_phases();
-  for (int phase = 0; phase < phases; ++phase) {
-    // Every channel flies inside a single posted exchange (the backends
-    // allow only one in flight).
-    const std::vector<ExchangeField> exchange_fields =
-        phase_exchange_fields(phase);
-    const bool exchanging = !exchange_fields.empty();
-
-    // Split-phase schedule: the interior sweeps run while the halo bytes
-    // are in flight; the boundary sweeps (which read halo slots) wait.
-    if (exchanging) exchange_->post_fields(exchange_fields);
-    {
-      // Interior time spent while an exchange is in flight is the hidden
-      // communication: aggregate it so overlap efficiency = hidden /
-      // (hidden + exchange_wait). Per-shard spans land on the shard's
-      // synthetic trace track and feed the imbalance statistic; the
-      // per-phase breakdown uses only the stepper-level spans inside, so
-      // nothing is double-counted.
-      TelemetryRegistry* reg = TelemetryScope::current();
-      const bool timing = reg != nullptr && reg->spans_enabled();
-      const std::int64_t t0 = timing ? reg->now_ns() : 0;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (shards_[s] == nullptr) continue;
-        ScopedSpan span(SpanId::kShardInterior, /*arg=*/phase,
-                        /*track=*/static_cast<int>(s));
-        shards_[s]->step_phase_interior(phase, dt);
-      }
-      if (timing && exchanging)
-        reg->add_duration(SpanId::kOverlapCompute, reg->now_ns() - t0);
-    }
-    if (exchanging) exchange_->wait();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s] == nullptr) continue;
-      ScopedSpan span(SpanId::kShardBoundary, /*arg=*/phase,
-                      /*track=*/static_cast<int>(s));
-      shards_[s]->step_phase_boundary(phase, dt);
-    }
-  }
-}
-
-void ShardedSolver::step_scheduled(double dt) {
   const int phases = num_step_phases();
   // The whole step's exchange plan is known up front: a phase's halo
   // fields are a pure function of the phase (stable preallocated
@@ -277,8 +226,9 @@ void ShardedSolver::step_scheduled(double dt) {
     ShardProgress& p = progress[static_cast<std::size_t>(pick)];
     const int s = local[static_cast<std::size_t>(pick)];
     // Task time spent while arrivals are outstanding is communication
-    // hidden behind compute — the same overlap accounting as lockstep's
-    // interior-during-exchange window.
+    // hidden behind compute (the overlap_compute aggregate). Per-shard
+    // spans land on the shard's synthetic trace track and feed the
+    // imbalance statistic.
     const bool pending = exchange_->sched_any_pending();
     const std::int64_t t0 = timing ? reg->now_ns() : 0;
     if (!p.interior_done) {

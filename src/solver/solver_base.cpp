@@ -24,13 +24,9 @@ void SolverBase::step_phase_boundary(int phase, double dt) {
   step_phase(phase, dt);
 }
 
-double* SolverBase::step_phase_halo(int /*phase*/) { return nullptr; }
-
 std::vector<SolverBase::PhaseHaloField> SolverBase::step_phase_halo_fields(
-    int phase) {
-  double* field = step_phase_halo(phase);
-  if (field == nullptr) return {};
-  return {PhaseHaloField{field, 0}};
+    int /*phase*/) {
+  return {};
 }
 
 void SolverBase::enable_lts(const std::vector<int>& /*cluster_of_cell*/,

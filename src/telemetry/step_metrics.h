@@ -9,8 +9,9 @@
 //
 // Columns (docs/observability.md): step, t, dt, wall_s (wall time of the
 // interval), the per-phase breakdown (predict/correct/rk_stage/exchange
-// post+wait seconds within the interval), overlap_eff (hidden-communication
-// fraction: interior-during-exchange / (that + exchange_wait)), the
+// post+wait seconds within the interval; the wait column sums the
+// scheduler's blocked sched_wait polls), overlap_eff (hidden-communication
+// fraction: compute-while-halos-pending / (that + the wait)), the
 // per-shard step-time min/mean/max and imbalance ratio (max/mean),
 // kernel-cache hits (process cumulative), and flops/mflops_s from the
 // run-scoped FlopCounter. Values that do not apply (no exchange, one

@@ -162,7 +162,7 @@ std::string telemetry_summary_table(const TelemetryRegistry& registry,
   const SpanId phases[] = {SpanId::kPredict,         SpanId::kCorrectInterior,
                            SpanId::kCorrectBoundary, SpanId::kRkStageInterior,
                            SpanId::kRkStageBoundary, SpanId::kExchangePost,
-                           SpanId::kExchangeWait,    SpanId::kStableDt,
+                           SpanId::kSchedWait,       SpanId::kStableDt,
                            SpanId::kObservers};
   for (SpanId id : phases) {
     const SpanAggregate agg = registry.aggregate(id);
@@ -177,20 +177,17 @@ std::string telemetry_summary_table(const TelemetryRegistry& registry,
   }
 
   // Overlap efficiency: how much of the halo exchange hid behind compute.
-  // hidden = sweep time while an exchange was in flight; the unhidden
-  // remainder showed up as exchange_wait (lockstep) or as blocked
-  // sched_wait polls (the dependency scheduler).
+  // hidden = sweep time while halo arrivals were pending; the unhidden
+  // remainder showed up as blocked sched_wait polls.
   const SpanAggregate overlap = registry.aggregate(SpanId::kOverlapCompute);
-  const SpanAggregate wait = registry.aggregate(SpanId::kExchangeWait);
-  const SpanAggregate sched = registry.aggregate(SpanId::kSchedWait);
+  const SpanAggregate wait = registry.aggregate(SpanId::kSchedWait);
   if (overlap.count > 0) {
     const double hidden = static_cast<double>(overlap.total_ns) * 1e-9;
-    const double unhidden =
-        static_cast<double>(wait.total_ns + sched.total_ns) * 1e-9;
+    const double unhidden = static_cast<double>(wait.total_ns) * 1e-9;
     const double total = hidden + unhidden;
     os << "  overlap efficiency " << percent_text(total > 0.0 ? hidden / total
                                                               : 0.0)
-       << " (" << seconds_text(hidden) << " s interior hid "
+       << " (" << seconds_text(hidden) << " s of compute hid "
        << seconds_text(unhidden) << " s of residual wait)\n";
   }
 

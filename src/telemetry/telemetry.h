@@ -62,11 +62,12 @@ enum class SpanId : std::int32_t {
   kCorrectBoundary,   ///< ADER corrector over the boundary set + advance
   kRkStageInterior,   ///< RK4 stage operator, interior set (arg = stage)
   kRkStageBoundary,   ///< RK4 stage operator, boundary set + axpy sweeps
-  kExchangePost,      ///< ExchangeBackend::post (pack + send / gather)
-  kExchangeWait,      ///< ExchangeBackend::wait (unhidden halo latency)
+  kExchangePost,      ///< ExchangeBackend capture/open (pack, send, gather)
+  kExchangeWait,      ///< not recorded (unhidden wait is kSchedWait); the
+                      ///< id and its name stay for downstream consumers
   kShardInterior,     ///< one shard's interior sweep (track = shard)
   kShardBoundary,     ///< one shard's boundary sweep (track = shard)
-  kOverlapCompute,    ///< interior compute while an exchange was in flight
+  kOverlapCompute,    ///< sweep compute while halo arrivals were pending
   kParallelRegion,    ///< one thread's share of a ParallelFor::run
   kSetupTune,         ///< from_config: fused-block autotune measurement
   kSetupSolver,       ///< from_config: kernel + solver construction
@@ -79,7 +80,7 @@ enum class SpanId : std::int32_t {
 
 inline constexpr int kNumSpanIds = static_cast<int>(SpanId::kNumSpanIds);
 
-/// Stable lower_snake name of a span id ("predict", "exchange_wait", ...) —
+/// Stable lower_snake name of a span id ("predict", "sched_wait", ...) —
 /// the `name` field of trace events and the summary-table row label.
 const char* span_name(SpanId id);
 
@@ -165,7 +166,7 @@ class TelemetryRegistry {
               std::int64_t t1_ns);
 
   /// Aggregate-only accounting for durations that are not trace spans
-  /// (kOverlapCompute: the interior time hidden behind an exchange).
+  /// (kOverlapCompute: the sweep time hidden behind in-flight halos).
   void add_duration(SpanId id, std::int64_t ns) {
     agg_ns_[static_cast<int>(id)].fetch_add(ns, std::memory_order_relaxed);
     agg_count_[static_cast<int>(id)].fetch_add(1, std::memory_order_relaxed);

@@ -9,10 +9,8 @@
 // bitwise-identical between `backend=inprocess shards=N` (each rank
 // replays the local run, which is deterministic) and `backend=mpi` — and
 // the merged receiver/VTK artifacts match the local run's byte for byte.
-// The distributed run uses the default dependency scheduler while the
-// local replay runs schedule=lockstep, so every case also crosses the
-// schedule axis. Tests skip decompositions that do not match the launch
-// size, so one binary serves -np 2, 3 and 4.
+// Tests skip decompositions that do not match the launch size, so one
+// binary serves -np 2, 3 and 4.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -101,9 +99,7 @@ void expect_local_shard_bitwise_equal(const Simulation& mpi,
 }
 
 /// The acceptance matrix body: every launch-compatible decomposition must
-/// be bitwise-identical between the two backends. The distributed run
-/// keeps the default dependency scheduler; the local replay pins
-/// schedule=lockstep, so backend and schedule cross in one comparison.
+/// be bitwise-identical between the two backends.
 void expect_mpi_invariant(const std::vector<std::string>& args) {
   const auto decompositions = decompositions_for(MpiRuntime::size());
   if (decompositions.empty())
@@ -114,7 +110,6 @@ void expect_mpi_invariant(const std::vector<std::string>& args) {
     mpi_keys.push_back("backend=mpi");
     std::vector<std::string> local_keys = keys;
     local_keys.push_back("backend=inprocess");
-    local_keys.push_back("schedule=lockstep");
     // A local replay of an over-decomposed auto split materializes
     // shards_per_rank x size shards; tell the resolver how many ranks'
     // worth to build. shards=auto + shards_per_rank=N resolves locally to
@@ -282,8 +277,8 @@ TEST(MpiArtifacts, VtkPiecesAndIndexMatchTheLocalRun) {
     expected.replace(at, 5, "_local_");
   EXPECT_EQ(expected, local_index);
 
-  // Both runs take identical lockstep steps, so they emit the same
-  // snapshot set; compare every piece the local run produced.
+  // Both runs take identical steps, so they emit the same snapshot set;
+  // compare every piece the local run produced.
   int snapshots = 0;
   for (int snapshot = 0;; ++snapshot) {
     char probe[24];
@@ -323,14 +318,13 @@ TEST(MpiSummary, ReportsBackendAndRank) {
 
 TEST(MpiSummary, ReportsShardGroupingWhenOverDecomposed) {
   // shards_per_rank=2 gives every rank a two-shard group; the summary
-  // surfaces the grouping and the exchange schedule next to the rank.
+  // surfaces the grouping next to the rank.
   Simulation sim = Simulation::from_args(
       {"scenario=planewave", "order=3", "cells=8x4x3", "threads=1",
        "shards=auto", "shards_per_rank=2", "backend=mpi"});
   EXPECT_EQ(sim.solver().num_shards(), 2 * MpiRuntime::size());
   const std::string summary = sim.summary();
   EXPECT_NE(summary.find("shards/rank=2"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("schedule=deps"), std::string::npos) << summary;
 }
 
 }  // namespace
