@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <set>
-#include <sstream>
+#include <map>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "exastp/common/check.h"
 #include "exastp/common/mpi_runtime.h"
@@ -46,17 +46,6 @@ std::vector<std::string> split_list(const std::string& value,
   return parts;
 }
 
-int parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(value, &used);
-    EXASTP_CHECK_MSG(used == value.size(), key + "=" + value);
-    return v;
-  } catch (const std::logic_error&) {
-    EXASTP_FAIL("expected an integer for " + key + ", got \"" + value + "\"");
-  }
-}
-
 double parse_double(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
@@ -68,46 +57,13 @@ double parse_double(const std::string& key, const std::string& value) {
   }
 }
 
-std::array<int, 3> parse_cells(const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const int n = parse_int("cells", parts[0]);
-    return {n, n, n};
-  }
-  EXASTP_CHECK_MSG(parts.size() == 3, "cells=" + value);
-  return {parse_int("cells", parts[0]), parse_int("cells", parts[1]),
-          parse_int("cells", parts[2])};
-}
-
-std::array<double, 3> parse_triple(const std::string& key,
-                                   const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const double v = parse_double(key, parts[0]);
-    return {v, v, v};
-  }
-  EXASTP_CHECK_MSG(parts.size() == 3, key + "=" + value);
-  return {parse_double(key, parts[0]), parse_double(key, parts[1]),
-          parse_double(key, parts[2])};
-}
+const char* const kBoundaryNames[] = {"periodic", "outflow", "wall"};
 
 BoundaryKind parse_boundary(const std::string& name) {
-  if (name == "periodic") return BoundaryKind::kPeriodic;
-  if (name == "outflow") return BoundaryKind::kOutflow;
-  if (name == "wall") return BoundaryKind::kWall;
+  for (int k = 0; k < 3; ++k)
+    if (name == kBoundaryNames[k]) return static_cast<BoundaryKind>(k);
   EXASTP_FAIL("unknown boundary kind \"" + name +
               "\" (periodic|outflow|wall)");
-}
-
-std::array<BoundaryKind, 3> parse_boundaries(const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const BoundaryKind k = parse_boundary(parts[0]);
-    return {k, k, k};
-  }
-  EXASTP_CHECK_MSG(parts.size() == 3, "bc=" + value);
-  return {parse_boundary(parts[0]), parse_boundary(parts[1]),
-          parse_boundary(parts[2])};
 }
 
 NodeFamily parse_family(const std::string& name) {
@@ -116,143 +72,347 @@ NodeFamily parse_family(const std::string& name) {
   EXASTP_FAIL("unknown node family \"" + name + "\" (gl|lobatto)");
 }
 
-/// "x,y,z;x,y,z;..." -> receiver positions.
-std::vector<std::array<double, 3>> parse_receivers(const std::string& value) {
-  std::vector<std::array<double, 3>> receivers;
-  for (const std::string& triple : split_list(value, ";"))
-    receivers.push_back(parse_triple("receivers", triple));
-  return receivers;
+// ---- Canonical text of each field type ----------------------------------
+//
+// A row's memo-key text is canon(field): overloads pick the format from
+// the field's type, so rows need no formatter of their own.
+
+std::string canon(const std::string& v) { return v; }
+std::string canon(int v) { return std::to_string(v); }
+std::string canon(bool on) { return on ? "on" : "off"; }
+std::string canon(StpVariant v) { return variant_name(v); }
+std::string canon(Precision p) { return precision_name(p); }
+std::string canon(BoundaryKind k) {
+  return kBoundaryNames[static_cast<int>(k)];
+}
+std::string canon(NodeFamily f) {
+  return f == NodeFamily::kGaussLegendre ? "gl" : "lobatto";
+}
+/// Round-trip-exact double text (%.17g re-reads to the same bits), so the
+/// canonical string distinguishes exactly the configs that differ.
+std::string canon(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
-std::vector<int> parse_quantities(const std::string& value) {
-  std::vector<int> quantities;
-  for (const std::string& part : split_list(value, ","))
-    quantities.push_back(parse_int("output.quantities", part));
-  return quantities;
+template <class Items>
+std::string join(const Items& items, const char* sep);
+
+std::string canon(const std::array<int, 3>& cells) { return join(cells, "x"); }
+template <class T>
+std::string canon(const std::array<T, 3>& v) { return join(v, ","); }
+std::string canon(const std::vector<int>& v) { return join(v, ","); }
+std::string canon(const std::vector<std::array<double, 3>>& v) {
+  return join(v, ";");
 }
 
-void apply_pair(SimulationConfig& config, const std::string& key,
-                const std::string& value) {
-  if (key == "pde") {
-    config.pde = value;
-  } else if (key == "scenario") {
-    config.scenario = value;  // already applied, kept for idempotence
-  } else if (key == "stepper") {
-    config.stepper = value;
-  } else if (key == "variant") {
-    config.variant = parse_variant(value);
-  } else if (key == "isa") {
-    config.isa = value;
-  } else if (key == "order") {
-    config.order = parse_int(key, value);
-  } else if (key == "family") {
-    config.family = parse_family(value);
-  } else if (key == "threads") {
-    config.threads = value == "auto" ? 0 : parse_int(key, value);
-  } else if (key == "shards") {
-    // Validated against the grid later (resolve_shard_grid); here only the
-    // shape is checked so typos fail at parse time.
-    if (value != "auto") {
-      const auto parts = split_list(value);
-      EXASTP_CHECK_MSG(parts.size() == 1 || parts.size() == 3,
-                       "shards=" + value + " (AxBxC, a total count, or auto)");
-      for (const std::string& part : parts) {
-        const int v = parse_int(key, part);
-        EXASTP_CHECK_MSG(v >= 1, "shards=" + value +
-                                     " needs positive counts");
-      }
-    }
-    config.shards = value;
-  } else if (key == "shards_per_rank") {
-    if (value == "auto") {
-      config.shards_per_rank = 0;
-    } else {
-      config.shards_per_rank = parse_int(key, value);
-      EXASTP_CHECK_MSG(config.shards_per_rank >= 1,
-                       "shards_per_rank=" + value + " must be auto or >= 1");
-    }
-  } else if (key == "backend") {
-    EXASTP_CHECK_MSG(value == "inprocess" || value == "mpi",
-                     "backend=" + value + " (inprocess|mpi)");
-    config.backend = value;
-  } else if (key == "precision") {
-    config.precision = parse_precision(value);
-  } else if (key == "autotune") {
-    EXASTP_CHECK_MSG(!value.empty(), "autotune= needs a table path");
-    config.autotune = value;
-  } else if (key == "lts") {
-    EXASTP_CHECK_MSG(value == "on" || value == "off",
-                     "lts=" + value + " (on|off)");
-    config.lts = value == "on";
-  } else if (key == "lts_clusters") {
-    if (value == "auto") {
-      config.lts_clusters = 0;
-    } else {
-      config.lts_clusters = parse_int(key, value);
-      EXASTP_CHECK_MSG(config.lts_clusters >= 1,
-                       "lts_clusters=" + value + " must be auto or >= 1");
-    }
-  } else if (key == "lts_rate") {
-    config.lts_rate = parse_int(key, value);
-    EXASTP_CHECK_MSG(config.lts_rate == 2,
-                     "lts_rate=" + value +
-                         " (only the power-of-two schedule, rate 2, is "
-                         "supported)");
-  } else if (key == "balance") {
-    EXASTP_CHECK_MSG(!value.empty(), "balance= needs a table path");
-    config.balance = value;
-  } else if (key == "cells") {
-    config.grid.cells = parse_cells(value);
-  } else if (key == "extent") {
-    config.grid.extent = parse_triple(key, value);
-  } else if (key == "origin") {
-    config.grid.origin = parse_triple(key, value);
-  } else if (key == "bc") {
-    config.grid.boundary = parse_boundaries(value);
-  } else if (key == "t_end") {
-    config.t_end = parse_double(key, value);
-  } else if (key == "cfl") {
-    config.cfl = parse_double(key, value);
-  } else if (key == "csv" || key == "output.csv") {
-    config.output.csv = value;
-  } else if (key == "vtk" || key == "output.vtk") {
-    config.output.vtk = value;
-  } else if (key == "output.series") {
-    config.output.series = value;
-  } else if (key == "output.interval") {
-    config.output.interval = parse_double(key, value);
-  } else if (key == "output.receivers_csv") {
-    config.output.receivers_csv = value;
-  } else if (key == "output.receivers_bin") {
-    config.output.receivers_bin = value;
-  } else if (key == "output.quantities") {
-    config.output.quantities = parse_quantities(value);
-  } else if (key == "receivers") {
-    config.receivers = parse_receivers(value);
-  } else if (key == "trace") {
-    EXASTP_CHECK_MSG(!value.empty(), "trace= needs a path");
-    config.telemetry.trace = value;
-  } else if (key == "metrics") {
-    EXASTP_CHECK_MSG(!value.empty(), "metrics= needs a path");
-    config.telemetry.metrics = value;
-  } else if (key == "metrics_interval") {
-    config.telemetry.metrics_interval = parse_int(key, value);
-    EXASTP_CHECK_MSG(config.telemetry.metrics_interval >= 1,
-                     "metrics_interval=" + value + " must be >= 1");
-  } else if (key == "progress") {
-    EXASTP_CHECK_MSG(value == "stderr",
-                     "progress=" + value + " (only stderr is supported)");
-    config.telemetry.progress = value;
-  } else if (key.rfind("scenario.", 0) == 0) {
-    const std::string param = key.substr(std::string("scenario.").size());
-    EXASTP_CHECK_MSG(!param.empty(), "empty scenario parameter key");
-    config.scenario_params[param] = value;
+template <class Items>
+std::string join(const Items& items, const char* sep) {
+  std::string out;
+  const char* lead = "";
+  for (const auto& item : items) {
+    out += lead;
+    out += canon(item);
+    lead = sep;
+  }
+  return out;
+}
+
+// ---- Value parsers: (key, value) -> field value --------------------------
+
+/// Calls a value parser that takes either (key, value) or just (value).
+template <class Parse>
+auto parse_value(const Parse& parse, const std::string& key,
+                 const std::string& value) {
+  if constexpr (std::is_invocable_v<const Parse&, const std::string&,
+                                    const std::string&>) {
+    return parse(key, value);
   } else {
-    EXASTP_FAIL("unknown config key \"" + key + "\"\n" + simulation_usage());
+    return parse(value);
   }
 }
 
+std::string any_text(const std::string& value) { return value; }
+
+std::string a_path(const std::string& key, const std::string& value) {
+  EXASTP_CHECK_MSG(!value.empty(), key + "= needs a path");
+  return value;
+}
+
+int count(const std::string& key, const std::string& value) {
+  const int v = parse_int(key, value);
+  EXASTP_CHECK_MSG(v >= 1, key + "=" + value + " must be >= 1");
+  return v;
+}
+
+/// "auto" (stored as 0) or a count >= 1.
+int auto_count(const std::string& key, const std::string& value) {
+  return value == "auto" ? 0 : count(key, value);
+}
+
+/// A string restricted to the '|'-separated `choices`.
+auto one_of(std::string choices) {
+  return [choices](const std::string& key, const std::string& value) {
+    const auto options = split_list(choices, "|");
+    EXASTP_CHECK_MSG(
+        std::find(options.begin(), options.end(), value) != options.end(),
+        key + "=" + value + " (" + choices + ")");
+    return value;
+  };
+}
+
+bool on_off(const std::string& key, const std::string& value) {
+  return one_of("on|off")(key, value) == "on";
+}
+
+/// "v" (a cube) or three parts, "a,b,c" or "axbxc".
+template <class Parse>
+auto triple(Parse parse) {
+  return [parse](const std::string& key, const std::string& value) {
+    const auto parts = split_list(value);
+    EXASTP_CHECK_MSG(parts.size() == 1 || parts.size() == 3,
+                     key + "=" + value + " (one value or three)");
+    const auto at = [&](std::size_t d) {
+      return parse_value(parse, key, parts[d % parts.size()]);
+    };
+    return std::array{at(0), at(1), at(2)};
+  };
+}
+
+template <class Parse>
+auto list(const char* delims, Parse parse) {
+  return [delims, parse](const std::string& key, const std::string& value) {
+    std::vector<decltype(parse_value(parse, key, value))> items;
+    for (const std::string& part : split_list(value, delims))
+      items.push_back(parse_value(parse, key, part));
+    return items;
+  };
+}
+
+// ---- Row builders -------------------------------------------------------
+
+/// A row's field as a generic accessor: one lambda serves the parser
+/// (mutable config) and the canonical formatter (const config).
+#define FIELD(member) [](auto& c) -> auto& { return c.member; }
+
+template <class Get, class Parse>
+ConfigKey row(std::string name, std::string arg, std::string help, Get get,
+              Parse parse) {
+  return {std::move(name), std::move(arg), std::move(help), false,
+          [get, parse](SimulationConfig& c, const std::string& key,
+                       const std::string& value) {
+            get(c) = parse_value(parse, key, value);
+          },
+          [get](const SimulationConfig& c) { return canon(get(c)); },
+          {}};
+}
+
+/// Marks a row bitwise-neutral: results are identical for every value, so
+/// it stays out of the memoization key.
+ConfigKey neutral(ConfigKey key) {
+  key.neutral = true;
+  key.canonical = nullptr;
+  return key;
+}
+
+ConfigKey alias(std::string name, std::string target) {
+  return {std::move(name), "PATH", "", false, {}, {}, std::move(target)};
+}
+
+/// A driver-only key: exastp_run peels it off before config parsing, so it
+/// has no apply and parse_simulation_args rejects it.
+ConfigKey driver(std::string name, std::string arg, std::string help) {
+  return {std::move(name), std::move(arg), "(exastp_run) " + help, false,
+          {}, {}, {}};
+}
+
+/// Keys referred to outside their own row.
+constexpr const char* kScenarioKey = "scenario";
+constexpr const char* kShardsKey = "shards";
+constexpr const char* kOutputCsv = "output.csv";
+constexpr const char* kOutputVtk = "output.vtk";
+
+/// Usage column where a key's description starts.
+constexpr std::size_t kHelpColumn = 18;
+
+bool is_family(const ConfigKey& key) { return key.name.back() == '*'; }
+
+/// The row `key` names, following an alias to its target; nullptr if none.
+const ConfigKey* find_config_key(const std::string& key) {
+  for (const ConfigKey& row : config_keys()) {
+    const std::size_t stem = row.name.size() - 1;
+    const bool match =
+        is_family(row)
+            ? key.size() > stem && key.compare(0, stem, row.name, 0, stem) == 0
+            : key == row.name;
+    if (match)
+      return row.alias_of.empty() ? &row : find_config_key(row.alias_of);
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+int parse_int(const std::string& key, const std::string& value) {
+  try {
+    std::size_t used = 0;
+    const int v = std::stoi(value, &used);
+    EXASTP_CHECK_MSG(used == value.size(), key + "=" + value);
+    return v;
+  } catch (const std::logic_error&) {
+    EXASTP_FAIL("expected an integer for " + key + ", got \"" + value + "\"");
+  }
+}
+
+const std::vector<ConfigKey>& config_keys() {
+  static const std::vector<ConfigKey> keys = {
+      row(kScenarioKey, "NAME",
+          "initial condition + defaults (see registry; default gaussian)",
+          FIELD(scenario), any_text),
+      row("pde", "NAME", "PDE registry key (default: the scenario's PDE)",
+          FIELD(pde), any_text),
+      row("stepper", "KIND", "ader | rk4 (default ader)", FIELD(stepper),
+          any_text),
+      row("variant", "NAME",
+          "generic | log | splitck | aosoa_splitck | soa_uf_splitck",
+          FIELD(variant), parse_variant),
+      row("isa", "NAME", "auto | scalar | avx2 | avx512 (default auto)",
+          FIELD(isa), any_text),
+      row("order", "N", "nodes per dimension (default 4)", FIELD(order),
+          parse_int),
+      row("family", "NAME", "gl | lobatto quadrature nodes (default gl)",
+          FIELD(family), parse_family),
+      row("precision", "NAME",
+          "fp64 (default) | fp32 kernel storage precision; fp32 needs\n"
+          "stepper=ader and variant=splitck|aosoa_splitck\n"
+          "(see docs/precision.md)",
+          FIELD(precision), parse_precision),
+      neutral(row("threads", "N",
+                  "stepper threads; auto (default) = hardware concurrency",
+                  FIELD(threads),
+                  [](const std::string& key, const std::string& value) {
+                    return value == "auto" ? 0 : parse_int(key, value);
+                  })),
+      // Validated against the grid later (resolve_shard_grid); here only
+      // the shape is checked so typos fail at parse time.
+      row(kShardsKey, "AxBxC",
+          "mesh shard block grid (or a total count to factor, or auto);\n"
+          "results are bitwise-identical for every decomposition",
+          FIELD(shards),
+          [](const std::string& key, const std::string& value) {
+            if (value != "auto") triple(count)(key, value);
+            return value;
+          }),
+      row("shards_per_rank", "N",
+          "over-decomposition: auto (default, one shard per rank under\n"
+          "backend=mpi) or N >= 1 shards per rank (bitwise-identical)",
+          FIELD(shards_per_rank), auto_count),
+      row("backend", "KIND",
+          "halo exchange: inprocess (default) | mpi (multi-shard ranks,\n"
+          "-DEXASTP_WITH_MPI=ON builds under mpirun)",
+          FIELD(backend), one_of("inprocess|mpi")),
+      neutral(row("autotune", "PATH",
+                  "fused-block autotune table: load, measure missing "
+                  "entries,\nsave back (bitwise-neutral; see "
+                  "docs/precision.md)",
+                  FIELD(autotune), a_path)),
+      row("lts", "on|off",
+          "clustered local time stepping (default off); bins cells into\n"
+          "powers-of-two rate clusters by local wave speed; needs\n"
+          "stepper=ader (see docs/lts.md)",
+          FIELD(lts), on_off),
+      row("lts_clusters", "N",
+          "cluster cap: auto (default, wave-speed spread decides)\n"
+          "or N >= 1",
+          FIELD(lts_clusters), auto_count),
+      row("lts_rate", "2",
+          "rate ratio between adjacent clusters (only 2 is supported)",
+          FIELD(lts_rate),
+          [](const std::string& key, const std::string& value) {
+            EXASTP_CHECK_MSG(parse_int(key, value) == 2,
+                             key + "=" + value +
+                                 " (only the power-of-two schedule, rate 2, "
+                                 "is supported)");
+            return 2;
+          }),
+      neutral(row("balance", "PATH",
+                  "measured-cost balance table: weight shard splits by "
+                  "measured\nper-cluster cost, update with this run, save "
+                  "back\n(bitwise-neutral)",
+                  FIELD(balance), a_path)),
+      row("cells", "AxBxC", "mesh cells per dimension (or one int for a cube)",
+          FIELD(grid.cells), triple(parse_int)),
+      row("extent", "X,Y,Z", "domain size (or one number for a cube)",
+          FIELD(grid.extent), triple(parse_double)),
+      row("origin", "X,Y,Z", "domain lower corner", FIELD(grid.origin),
+          triple(parse_double)),
+      row("bc", "KIND[,KIND,KIND]", "periodic | outflow | wall per dimension",
+          FIELD(grid.boundary), triple(parse_boundary)),
+      row("t_end", "T", "end time", FIELD(t_end), parse_double),
+      row("cfl", "C", "CFL factor (default 0.4)", FIELD(cfl), parse_double),
+      row(kOutputCsv, "PATH", "write nodal values CSV after the run",
+          FIELD(output.csv), any_text),
+      alias("csv", kOutputCsv),
+      row(kOutputVtk, "PATH", "write cell-average VTK after the run",
+          FIELD(output.vtk), any_text),
+      alias("vtk", kOutputVtk),
+      row("receivers", "X,Y,Z[;X,Y,Z...]", "probe points sampled every step",
+          FIELD(receivers), list(";", triple(parse_double))),
+      row("output.receivers_csv", "PATH", "stream receiver samples as CSV",
+          FIELD(output.receivers_csv), any_text),
+      row("output.receivers_bin", "PATH",
+          "stream receiver samples as a binary record stream",
+          FIELD(output.receivers_bin), any_text),
+      row("output.quantities", "A,B,...",
+          "quantity indices receivers sample\n(default: all evolved)",
+          FIELD(output.quantities), list(",", parse_int)),
+      row("output.series", "BASE",
+          "incremental VTK snapshot series (BASE_NNNN.vtk + BASE.pvd)",
+          FIELD(output.series), any_text),
+      row("output.interval", "T",
+          "series snapshot spacing (default: every step)",
+          FIELD(output.interval), parse_double),
+      row("trace", "PATH",
+          "write a Chrome trace-event JSON span timeline after the run\n"
+          "(Perfetto-loadable; see docs/observability.md)",
+          FIELD(telemetry.trace), a_path),
+      row("metrics", "PATH",
+          "stream per-step metrics (CSV, or JSONL for .jsonl paths)",
+          FIELD(telemetry.metrics), a_path),
+      row("metrics_interval", "N", "steps between metrics rows (default 1)",
+          FIELD(telemetry.metrics_interval), count),
+      neutral(row("progress", "stderr",
+                  "rank-0 progress heartbeat (~1 Hz) on stderr",
+                  FIELD(telemetry.progress), one_of("stderr"))),
+      // canonical_config_string appends the whole passthrough map.
+      {"scenario.*", "KEY=VALUE",
+       "scenario parameter passthrough (e.g. scenario.layer_rho\n"
+       "for loh1, scenario.kx for planewave; see the scenario's\n"
+       "declared keys)",
+       false,
+       [](SimulationConfig& c, const std::string& key,
+          const std::string& value) {
+         c.scenario_params[key.substr(key.find('.') + 1)] = value;
+       },
+       {},
+       {}},
+      driver("sweep", "KEY:V1,V2,...",
+             "run once per value, streaming a summary CSV\n"
+             "(any key above sweeps, e.g. sweep=shards:1,2,4)"),
+      driver("batch", "FILE",
+             "ensemble mode: run every line of FILE (one\n"
+             "key=value config per line, # comments) as a pool job;\n"
+             "remaining args are batch-wide defaults"),
+      driver("jobs", "N", "concurrent simulations for batch= (default 1)"),
+      driver("gallery", "KIND[:PATH]",
+             "batch result sink: csv | jsonl | bin | dir\n"
+             "(repeatable; csv/jsonl stream to stdout without a PATH)"),
+  };
+  return keys;
+}
+
+#undef FIELD
 
 double scenario_param(const SimulationConfig& config, const std::string& key,
                       double fallback) {
@@ -268,85 +428,14 @@ int scenario_param_int(const SimulationConfig& config, const std::string& key,
   return parse_int("scenario." + key, it->second);
 }
 
-namespace {
-
-/// Round-trip-exact double text (%.17g re-reads to the same bits), so the
-/// canonical string distinguishes exactly the configs that differ.
-std::string exact(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-const char* boundary_token(BoundaryKind kind) {
-  switch (kind) {
-    case BoundaryKind::kPeriodic: return "periodic";
-    case BoundaryKind::kOutflow: return "outflow";
-    case BoundaryKind::kWall: return "wall";
-  }
-  EXASTP_FAIL("unknown boundary kind");
-}
-
-}  // namespace
-
 std::string canonical_config_string(const SimulationConfig& config) {
-  std::ostringstream os;
-  os << "scenario=" << config.scenario << "|pde=" << config.pde
-     << "|stepper=" << config.stepper
-     << "|variant=" << variant_name(config.variant) << "|isa=" << config.isa
-     << "|order=" << config.order << "|family="
-     << (config.family == NodeFamily::kGaussLegendre ? "gl" : "lobatto")
-     << "|shards=" << config.shards
-     << "|shards_per_rank=" << config.shards_per_rank
-     << "|backend=" << config.backend
-     << "|precision=" << precision_name(config.precision)
-     << "|lts=" << (config.lts ? "on" : "off")
-     << "|lts_clusters=" << config.lts_clusters
-     << "|lts_rate=" << config.lts_rate;
-  // threads is intentionally absent: results are bitwise-identical for
-  // every thread count, so it must not split the memoization key. The
-  // autotune table path is absent for the same reason: fused block sizes
-  // are bitwise-neutral, so tuned and untuned runs of one config must
-  // share a memoization entry. The balance table path is absent for the
-  // autotune reason too: cost-weighted shard splits are bitwise-identical
-  // to unweighted ones, so balanced and unbalanced runs of one config
-  // must share an entry. The lts keys ARE present: a multi-cluster
-  // schedule changes the computed bytes. shards_per_rank IS present: under
-  // shards=auto it changes the resolved decomposition, which (like
-  // shards=) names the run's topology.
-  os << "|cells=" << config.grid.cells[0] << "x" << config.grid.cells[1]
-     << "x" << config.grid.cells[2];
-  os << "|extent=" << exact(config.grid.extent[0]) << ","
-     << exact(config.grid.extent[1]) << "," << exact(config.grid.extent[2]);
-  os << "|origin=" << exact(config.grid.origin[0]) << ","
-     << exact(config.grid.origin[1]) << "," << exact(config.grid.origin[2]);
-  os << "|bc=" << boundary_token(config.grid.boundary[0]) << ","
-     << boundary_token(config.grid.boundary[1]) << ","
-     << boundary_token(config.grid.boundary[2]);
-  os << "|t_end=" << exact(config.t_end) << "|cfl=" << exact(config.cfl);
-  os << "|csv=" << config.output.csv << "|vtk=" << config.output.vtk
-     << "|series=" << config.output.series
-     << "|interval=" << exact(config.output.interval)
-     << "|receivers_csv=" << config.output.receivers_csv
-     << "|receivers_bin=" << config.output.receivers_bin;
-  os << "|quantities=";
-  for (std::size_t i = 0; i < config.output.quantities.size(); ++i)
-    os << (i ? "," : "") << config.output.quantities[i];
-  os << "|receivers=";
-  for (std::size_t i = 0; i < config.receivers.size(); ++i)
-    os << (i ? ";" : "") << exact(config.receivers[i][0]) << ","
-       << exact(config.receivers[i][1]) << "," << exact(config.receivers[i][2]);
-  // Telemetry file outputs are artifacts like csv=/vtk=, so they split the
-  // memoization key (a cached replay writes no files). progress= is absent
-  // for the threads/autotune reason: a heartbeat leaves no artifact and
-  // must not split the key.
-  os << "|trace=" << config.telemetry.trace
-     << "|metrics=" << config.telemetry.metrics
-     << "|metrics_interval=" << config.telemetry.metrics_interval;
+  std::string key;
+  for (const ConfigKey& row : config_keys())
+    if (row.canonical) key += "|" + row.name + "=" + row.canonical(config);
   // std::map iterates in key order, so the passthrough block is canonical.
-  for (const auto& [key, value] : config.scenario_params)
-    os << "|scenario." << key << "=" << value;
-  return os.str();
+  for (const auto& [param, value] : config.scenario_params)
+    key += "|scenario." + param + "=" + value;
+  return key;
 }
 
 std::array<int, 3> resolve_shard_grid(const SimulationConfig& config) {
@@ -363,194 +452,74 @@ std::array<int, 3> resolve_shard_grid(const SimulationConfig& config) {
                                           : resolve_threads(config.threads));
     return Partition::factor(total, config.grid.cells);
   }
-  const auto parts = split_list(config.shards);
-  if (parts.size() == 1)
-    return Partition::factor(parse_int("shards", parts[0]),
+  if (split_list(config.shards).size() == 1)
+    return Partition::factor(count(kShardsKey, config.shards),
                              config.grid.cells);
-  EXASTP_CHECK_MSG(parts.size() == 3, "shards=" + config.shards);
-  const std::array<int, 3> shards{parse_int("shards", parts[0]),
-                                  parse_int("shards", parts[1]),
-                                  parse_int("shards", parts[2])};
+  const std::array<int, 3> shards = triple(count)(kShardsKey, config.shards);
   for (int d = 0; d < 3; ++d)
-    EXASTP_CHECK_MSG(shards[d] >= 1 && shards[d] <= config.grid.cells[d],
+    EXASTP_CHECK_MSG(shards[d] <= config.grid.cells[d],
                      "shards=" + config.shards +
                          " needs at least one cell per shard per dimension");
   return shards;
 }
 
 void apply_scenario_defaults(SimulationConfig& config) {
-  ScenarioRegistry::instance().find(config.scenario)->configure(config);
+  const Scenario& scenario =
+      *ScenarioRegistry::instance().find(config.scenario);
+  scenario.configure(config);
+  if (config.pde.empty()) config.pde = scenario.default_pde();
 }
 
 SimulationConfig parse_simulation_args(const std::vector<std::string>& args) {
+  // One pass resolves every key to its row (aliases to their target) and
+  // rejects unknown and duplicate keys. The scenario decides the default
+  // grid/boundaries/t_end/pde, so it is applied in the same pass, before
+  // the remaining pairs override those defaults.
+  struct Pair {
+    const ConfigKey* row;
+    std::string key, value;
+  };
   SimulationConfig config;
-  // The scenario decides the default grid/boundaries/t_end, so resolve it
-  // before the remaining pairs override those defaults. The same pass
-  // rejects duplicate keys: silently letting the later pair win would run
-  // a config the user did not ask for (batch files are hand-written).
-  // Membership is checked against accepted_config_keys() — the same list
-  // the config reference documents — so a key accepted by apply_pair but
-  // absent from the list cannot slip through undocumented.
-  const std::vector<std::string> known = accepted_config_keys();
-  std::set<std::string> seen;
+  std::vector<Pair> pairs;
+  std::map<std::string, std::string> seen;  // resolved name -> key as given
   for (const std::string& arg : args) {
-    const auto [key, value] = split_pair(arg);
-    EXASTP_CHECK_MSG(seen.insert(key).second,
-                     "duplicate config key \"" + key + "\"");
-    const bool listed =
-        key.rfind("scenario.", 0) == 0 ||
-        std::find(known.begin(), known.end(), key) != known.end();
-    EXASTP_CHECK_MSG(listed, "unknown config key \"" + key + "\"\n" +
-                                 simulation_usage());
-    if (key == "scenario") config.scenario = value;
+    auto [key, value] = split_pair(arg);
+    const ConfigKey* row = find_config_key(key);
+    EXASTP_CHECK_MSG(row != nullptr && row->apply,
+                     "unknown config key \"" + key + "\"\n" +
+                         simulation_usage());
+    const std::string& name = is_family(*row) ? key : row->name;
+    const auto [it, fresh] = seen.emplace(name, key);
+    EXASTP_CHECK_MSG(fresh, "duplicate config key \"" + name + "\"" +
+                                (it->second != key || name != key
+                                     ? " (as \"" + it->second + "\" and \"" +
+                                           key + "\")"
+                                     : ""));
+    if (row->name == kScenarioKey) row->apply(config, key, value);
+    pairs.push_back({row, std::move(key), std::move(value)});
   }
   apply_scenario_defaults(config);
-  for (const std::string& arg : args) {
-    const auto [key, value] = split_pair(arg);
-    apply_pair(config, key, value);
-  }
+  for (const Pair& pair : pairs) pair.row->apply(config, pair.key, pair.value);
   return config;
 }
 
-std::vector<std::string> accepted_config_keys() {
-  // Keep in usage/reference order. "csv"/"vtk" are the unprefixed aliases
-  // of output.csv/output.vtk; "scenario.*" stands for the passthrough
-  // family (any key the selected scenario declares).
-  return {"scenario",
-          "pde",
-          "stepper",
-          "variant",
-          "isa",
-          "order",
-          "family",
-          "precision",
-          "threads",
-          "shards",
-          "shards_per_rank",
-          "backend",
-          "autotune",
-          "lts",
-          "lts_clusters",
-          "lts_rate",
-          "balance",
-          "cells",
-          "extent",
-          "origin",
-          "bc",
-          "t_end",
-          "cfl",
-          "csv",
-          "vtk",
-          "output.csv",
-          "output.vtk",
-          "output.series",
-          "output.interval",
-          "output.receivers_csv",
-          "output.receivers_bin",
-          "output.quantities",
-          "receivers",
-          "trace",
-          "metrics",
-          "metrics_interval",
-          "progress",
-          "scenario.*"};
-}
-
-std::vector<std::string> driver_only_keys() {
-  return {"sweep", "batch", "jobs", "gallery"};
-}
-
 std::string simulation_usage() {
-  return
-      "usage: key=value ...\n"
-      "  scenario=NAME   initial condition + defaults (see registry; default"
-      " gaussian)\n"
-      "  pde=NAME        PDE registry key (default: the scenario's PDE)\n"
-      "  stepper=KIND    ader | rk4 (default ader)\n"
-      "  variant=NAME    generic | log | splitck | aosoa_splitck |"
-      " soa_uf_splitck\n"
-      "  isa=NAME        auto | scalar | avx2 | avx512 (default auto)\n"
-      "  order=N         nodes per dimension (default 4)\n"
-      "  family=NAME     gl | lobatto quadrature nodes (default gl)\n"
-      "  precision=NAME  fp64 (default) | fp32 kernel storage precision;"
-      " fp32 needs\n"
-      "                  stepper=ader and variant=splitck|aosoa_splitck"
-      " (see docs/precision.md)\n"
-      "  threads=N       stepper threads; auto (default) = hardware"
-      " concurrency\n"
-      "  shards=AxBxC    mesh shard block grid (or a total count to factor,"
-      " or auto);\n"
-      "                  results are bitwise-identical for every"
-      " decomposition\n"
-      "  shards_per_rank=N  over-decomposition: auto (default, one shard per"
-      " rank under\n"
-      "                  backend=mpi) or N >= 1 shards per rank"
-      " (bitwise-identical)\n"
-      "  backend=KIND    halo exchange: inprocess (default) | mpi"
-      " (multi-shard ranks,\n"
-      "                  -DEXASTP_WITH_MPI=ON builds under mpirun)\n"
-      "  autotune=PATH   fused-block autotune table: load, measure missing"
-      " entries,\n"
-      "                  save back (bitwise-neutral; see docs/precision.md)\n"
-      "  lts=on|off      clustered local time stepping (default off); bins"
-      " cells into\n"
-      "                  powers-of-two rate clusters by local wave speed;"
-      " needs\n"
-      "                  stepper=ader (see docs/lts.md)\n"
-      "  lts_clusters=N  cluster cap: auto (default, wave-speed spread"
-      " decides) or N >= 1\n"
-      "  lts_rate=2      rate ratio between adjacent clusters (only 2 is"
-      " supported)\n"
-      "  balance=PATH    measured-cost balance table: weight shard splits by"
-      " measured\n"
-      "                  per-cluster cost, update with this run, save back"
-      " (bitwise-neutral)\n"
-      "  cells=AxBxC     mesh cells per dimension (or one int for a cube)\n"
-      "  extent=X,Y,Z    domain size (or one number for a cube)\n"
-      "  origin=X,Y,Z    domain lower corner\n"
-      "  bc=KIND[,KIND,KIND]  periodic | outflow | wall per dimension\n"
-      "  t_end=T         end time\n"
-      "  cfl=C           CFL factor (default 0.4)\n"
-      "  csv=PATH        write nodal values CSV after the run (alias of"
-      " output.csv=)\n"
-      "  vtk=PATH        write cell-average VTK after the run (alias of"
-      " output.vtk=)\n"
-      "  receivers=X,Y,Z[;X,Y,Z...]  probe points sampled every step\n"
-      "  output.receivers_csv=PATH   stream receiver samples as CSV\n"
-      "  output.receivers_bin=PATH   stream receiver samples as a binary"
-      " record stream\n"
-      "  output.quantities=A,B,...   quantity indices receivers sample"
-      " (default: all evolved)\n"
-      "  output.series=BASE          incremental VTK snapshot series"
-      " (BASE_NNNN.vtk + BASE.pvd)\n"
-      "  output.interval=T           series snapshot spacing (default:"
-      " every step)\n"
-      "  trace=PATH      write a Chrome trace-event JSON span timeline after"
-      " the run\n"
-      "                  (Perfetto-loadable; see docs/observability.md)\n"
-      "  metrics=PATH    stream per-step metrics (CSV, or JSONL for .jsonl"
-      " paths)\n"
-      "  metrics_interval=N          steps between metrics rows (default 1)\n"
-      "  progress=stderr rank-0 progress heartbeat (~1 Hz) on stderr\n"
-      "  scenario.KEY=VALUE          scenario parameter passthrough (e.g."
-      " scenario.layer_rho for loh1,\n"
-      "                              scenario.kx for planewave; see the"
-      " scenario's declared keys)\n"
-      "  sweep=KEY:V1,V2,...         (exastp_run) run once per value,"
-      " streaming a summary CSV\n"
-      "                              (any key above sweeps, e.g."
-      " sweep=shards:1,2,4)\n"
-      "  batch=FILE                  (exastp_run) ensemble mode: run every"
-      " line of FILE (one\n"
-      "                              key=value config per line, # comments)"
-      " as a pool job;\n"
-      "                              remaining args are batch-wide defaults\n"
-      "  jobs=N                      (exastp_run) concurrent simulations for"
-      " batch= (default 1)\n"
-      "  gallery=KIND[:PATH]         (exastp_run) batch result sink: csv |"
-      " jsonl | bin | dir\n"
-      "                              (repeatable; csv/jsonl stream to stdout"
-      " without a PATH)\n";
+  std::string usage = "usage: key=value ...\n";
+  for (const ConfigKey& row : config_keys()) {
+    std::string line =
+        "  " +
+        (is_family(row) ? row.name.substr(0, row.name.size() - 1)
+                        : row.name + "=") +
+        row.arg;
+    line.resize(std::max(line.size() + 2, kHelpColumn), ' ');
+    for (char c : row.alias_of.empty() ? row.help
+                                       : "alias of " + row.alias_of + "=") {
+      line += c;
+      if (c == '\n') line.append(kHelpColumn, ' ');
+    }
+    usage += line + "\n";
+  }
+  return usage;
 }
 
 }  // namespace exastp

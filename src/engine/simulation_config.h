@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -152,13 +153,12 @@ double scenario_param(const SimulationConfig& config, const std::string& key,
 int scenario_param_int(const SimulationConfig& config, const std::string& key,
                        int fallback);
 
-/// Deterministic one-line serialization of every config field (maps in key
-/// order, doubles printed round-trip exactly) — the memoization key of the
-/// ensemble service (src/service/simulation_pool.h): two configs with equal
-/// canonical strings produce bitwise-identical results. `threads` is
-/// deliberately excluded: results are bitwise-identical for every thread
-/// count (README "Threading"), so a batch that re-runs a config with a
-/// different thread budget still hits the cache.
+/// Deterministic one-line serialization of the config: `|name=value` for
+/// every config_keys() row that is neither neutral nor an alias (doubles
+/// printed round-trip exactly), then the scenario parameters in key order.
+/// The memoization key of the ensemble service
+/// (src/service/simulation_pool.h): two configs with equal canonical
+/// strings produce bitwise-identical results.
 std::string canonical_config_string(const SimulationConfig& config);
 
 /// Resolves config.shards against the grid, thread count and rank count
@@ -172,42 +172,62 @@ std::string canonical_config_string(const SimulationConfig& config);
 std::array<int, 3> resolve_shard_grid(const SimulationConfig& config);
 
 /// Applies the scenario's recommended grid/boundaries/end time to `config`
-/// (looked up by config.scenario). parse_simulation_args calls this before
+/// (looked up by config.scenario), and its default PDE when config.pde is
+/// empty — so configs that differ only in spelling the default PDE out
+/// share one canonical string. parse_simulation_args calls this before
 /// applying explicit key=value overrides; call it yourself when building a
 /// SimulationConfig by hand and you want the scenario defaults.
 void apply_scenario_defaults(SimulationConfig& config);
 
 /// Parses "key=value" arguments into a config. The scenario is resolved
-/// first and its defaults applied, then the remaining pairs override them,
-/// so e.g. {"scenario=loh1", "cells=8x8x8"} refines the stock LOH1 box.
-/// A key given twice is a hard error naming the key — a duplicate in a
-/// hand-written batch line is almost always a typo, and silently letting
-/// the later pair win would run a config the user did not ask for.
-///
-/// Keys: pde, scenario, stepper, variant, isa, order, family (gl|lobatto),
-/// cells (NxMxK or one int for a cube), extent, origin (comma- or
-/// x-separated triples), bc (periodic|outflow|wall, one or three
-/// comma-separated), t_end, cfl, csv, vtk, the streaming output.* keys
-/// (series, interval, receivers_csv, receivers_bin, quantities; csv/vtk
-/// also accepted with the prefix), receivers (semicolon-separated x,y,z
-/// triples) and scenario.<key> passthrough pairs. Unknown keys throw.
+/// first and its defaults applied (including the scenario's PDE when
+/// `pde=` is absent), then the remaining pairs override them, so e.g.
+/// {"scenario=loh1", "cells=8x8x8"} refines the stock LOH1 box. The
+/// accepted keys are the config_keys() rows that have an `apply`; unknown
+/// keys throw. A key given twice — directly or through an alias — is a
+/// hard error naming the key: a duplicate in a hand-written batch line is
+/// almost always a typo, and silently letting the later pair win would run
+/// a config the user did not ask for.
 SimulationConfig parse_simulation_args(const std::vector<std::string>& args);
 
-/// One-line-per-key usage text for CLI drivers.
+/// One config key, declared once: parse_simulation_args, simulation_usage,
+/// canonical_config_string and the docs check (tests/test_docs.cpp) all
+/// derive from the config_keys() rows.
+struct ConfigKey {
+  /// Key name; a trailing '*' declares a prefix family ("scenario.*"
+  /// matches every "scenario.<key>").
+  std::string name;
+  std::string arg;   ///< usage metavariable: the "N" of "order=N"
+  std::string help;  ///< usage text; each '\n' starts a continuation line
+  /// Bitwise-neutral: results are identical for every value, so the key
+  /// stays out of canonical_config_string (tests/test_engine.cpp runs each
+  /// neutral key both ways to check that).
+  bool neutral = false;
+  /// Parses `value` (given under `key`) into the config. Empty for alias
+  /// rows, which parse through their target, and for the driver-only keys
+  /// exastp_run peels off before config parsing (sweep, batch, jobs,
+  /// gallery), which parse_simulation_args rejects.
+  std::function<void(SimulationConfig&, const std::string& key,
+                     const std::string& value)>
+      apply;
+  /// The canonical-string text of the row's field; empty for neutral
+  /// rows, alias rows, the scenario.* family (appended as a map) and the
+  /// driver-only keys.
+  std::function<std::string(const SimulationConfig&)> canonical;
+  /// Target row name when this key is an alternative spelling of another.
+  std::string alias_of;
+};
+
+/// Every config key in usage order, with the driver-only keys last.
+const std::vector<ConfigKey>& config_keys();
+
+/// Usage text for CLI drivers: one line (plus continuations) per
+/// config_keys() row.
 std::string simulation_usage();
 
-/// Every key parse_simulation_args accepts, in usage order, with the
-/// scenario passthrough family spelled "scenario.*". parse_simulation_args
-/// itself validates incoming keys against this list (before the typed
-/// apply step), so a parser branch whose key is missing here fails loudly
-/// in any test that uses the key — and the docs-sync test
-/// (tests/test_docs.cpp) cross-checks this list against
-/// docs/config_reference.md, keeping parser and reference in lockstep.
-std::vector<std::string> accepted_config_keys();
-
-/// The driver-only keys exastp_run peels off before config parsing
-/// (sweep=, batch=, jobs=, gallery=). Documented in the same reference;
-/// exported separately because parse_simulation_args rejects them.
-std::vector<std::string> driver_only_keys();
+/// Strict integer parse shared by the config keys and the exastp_run
+/// driver: the whole of `value` must be an integer; otherwise throws
+/// std::invalid_argument naming `key`.
+int parse_int(const std::string& key, const std::string& value);
 
 }  // namespace exastp

@@ -1,10 +1,10 @@
 // Docs/parser synchronization: docs/config_reference.md documents exactly
-// the keys parse_simulation_args accepts (plus the driver-only keys
-// exastp_run peels off first).
+// the config_keys() table: every key parse_simulation_args accepts plus the
+// driver-only keys exastp_run peels off first.
 //
 // The reference uses one `### `key`` heading per key, so the contract is
-// mechanical: the set of backtick-quoted heading tokens equals
-// accepted_config_keys() + driver_only_keys(). A parser key without a
+// mechanical: the set of backtick-quoted heading tokens equals the names of
+// the config_keys() rows. A parser key without a
 // heading fails here ("undocumented key"); a heading without a parser key
 // fails too ("stale documentation"). CI runs this test in every build-and-
 // test job, so the reference cannot drift from the parser.
@@ -56,8 +56,7 @@ std::string join(const std::vector<std::string>& v) {
 
 TEST(Docs, ConfigReferenceMatchesParser) {
   std::set<std::string> expected;
-  for (const std::string& key : accepted_config_keys()) expected.insert(key);
-  for (const std::string& key : driver_only_keys()) expected.insert(key);
+  for (const ConfigKey& row : config_keys()) expected.insert(row.name);
   ASSERT_FALSE(expected.empty());
 
   const std::set<std::string> documented = documented_keys();
@@ -82,12 +81,12 @@ TEST(Docs, UsageTextCoversEveryKey) {
   // The CLI usage text must mention every accepted key too (it is the
   // terse sibling of the reference).
   const std::string usage = simulation_usage();
-  for (const std::string& key : accepted_config_keys()) {
+  for (const ConfigKey& row : config_keys()) {
     // The scenario passthrough family is spelled "scenario.<key>" in usage.
     const std::string needle =
-        key == "scenario.*" ? "scenario." : key + "=";
+        row.name == "scenario.*" ? "scenario." : row.name + "=";
     EXPECT_NE(usage.find(needle), std::string::npos)
-        << "simulation_usage() does not mention " << key;
+        << "simulation_usage() does not mention " << row.name;
   }
 }
 

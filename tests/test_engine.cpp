@@ -5,7 +5,13 @@
 // generic reference kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -13,6 +19,7 @@
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/elastic.h"
 #include "exastp/solver/rk_dg_solver.h"
+#include "exastp/solver/sharded_solver.h"
 
 namespace exastp {
 namespace {
@@ -113,6 +120,192 @@ TEST(ConfigParse, DuplicateKeyIsAHardErrorNamingTheKey) {
   EXPECT_THROW(parse_simulation_args({"scenario=loh1", "scenario.half_cs=4",
                                       "scenario.half_cs=5"}),
                std::invalid_argument);
+  // And through an alias: csv=/vtk= name the same field as output.csv=/
+  // output.vtk=, so giving both spellings is the same duplicate.
+  for (const auto& [alias, full] :
+       {std::pair<std::string, std::string>{"csv", "output.csv"},
+        {"vtk", "output.vtk"}}) {
+    try {
+      parse_simulation_args({alias + "=a", full + "=b"});
+      FAIL() << "expected a throw for " << alias << "= + " << full << "=";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate config key \"" + full +
+                                           "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The config-key table's `neutral` flags, checked: every config_keys() row
+// has a probe below, so a new key cannot skip classification. A non-neutral
+// row must split the memoization key; a neutral row must not, and a small
+// run with its value flipped must leave the fields and receiver samples
+// byte-identical.
+
+const std::vector<std::string> kProbeBase = {
+    "scenario=planewave", "order=3", "cells=2x2x2", "t_end=0.02",
+    "threads=1", "receivers=0.3,0.4,0.5;0.7,0.2,0.6"};
+
+// Stiff-layer LOH1 with LTS on 2 shards split along the layered z axis:
+// the balance table below reweights the clusters, so the balanced run
+// actually cuts the mesh somewhere else.
+const std::vector<std::string> kBalanceBase = {
+    "scenario=loh1",         "order=3",
+    "cells=4x4x6",           "t_end=0.05",
+    "threads=1",             "lts=on",
+    "shards=1x1x2",          "scenario.layer_cp=1.5",
+    "scenario.layer_cs=0.75", "receivers=4.1,4.1,3.1;3.4,4.4,2.6"};
+const char* const kBalanceTable = "test_engine_balance.txt";
+const char* const kAutotuneTable = "test_engine_autotune.txt";
+
+struct KeyProbe {
+  KeyProbe(std::string a, std::vector<std::string> b = kProbeBase,
+           std::function<void(SimulationConfig&)> e = nullptr)
+      : arg(std::move(a)), base(std::move(b)), edit(std::move(e)) {}
+  std::string arg;  ///< the flipped "key=value", replacing any base pair
+  std::vector<std::string> base;
+  /// Stands in for `arg` when the parser accepts only the default value.
+  std::function<void(SimulationConfig&)> edit;
+};
+
+const std::map<std::string, KeyProbe>& key_probes() {
+  static const std::map<std::string, KeyProbe> probes = {
+      {"scenario", {"scenario=gaussian"}},
+      {"pde", {"pde=elastic"}},
+      {"stepper", {"stepper=rk4"}},
+      {"variant", {"variant=generic"}},
+      {"isa", {"isa=scalar"}},
+      {"order", {"order=4"}},
+      {"family", {"family=lobatto"}},
+      {"precision", {"precision=fp32"}},
+      {"threads", {"threads=3"}},
+      {"shards", {"shards=2"}},
+      {"shards_per_rank", {"shards_per_rank=2"}},
+      {"backend", {"backend=mpi"}},
+      {"autotune", {std::string("autotune=") + kAutotuneTable}},
+      {"lts", {"lts=on"}},
+      {"lts_clusters", {"lts_clusters=2"}},
+      // Only rate 2 parses today; a future rate must still split the key.
+      {"lts_rate",
+       {"", kProbeBase, [](SimulationConfig& c) { c.lts_rate = 4; }}},
+      {"balance", {std::string("balance=") + kBalanceTable, kBalanceBase}},
+      {"cells", {"cells=3x2x2"}},
+      {"extent", {"extent=2"}},
+      {"origin", {"origin=0.5,0,0"}},
+      {"bc", {"bc=outflow"}},
+      {"t_end", {"t_end=0.03"}},
+      {"cfl", {"cfl=0.3"}},
+      {"output.csv", {"output.csv=probe.csv"}},
+      {"csv", {"csv=probe.csv"}},
+      {"output.vtk", {"output.vtk=probe.vtk"}},
+      {"vtk", {"vtk=probe.vtk"}},
+      {"receivers", {"receivers=0.5,0.5,0.5"}},
+      {"output.receivers_csv", {"output.receivers_csv=probe.csv"}},
+      {"output.receivers_bin", {"output.receivers_bin=probe.bin"}},
+      {"output.quantities", {"output.quantities=0"}},
+      {"output.series", {"output.series=probe"}},
+      {"output.interval", {"output.interval=0.01"}},
+      {"trace", {"trace=probe.json"}},
+      {"metrics", {"metrics=probe.csv"}},
+      {"metrics_interval", {"metrics_interval=2"}},
+      {"progress", {"progress=stderr"}},
+      {"scenario.*", {"scenario.kx=2"}},
+      // Driver-only keys: parse_simulation_args must reject them.
+      {"sweep", {"sweep=order:3,4"}},
+      {"batch", {"batch=jobs.txt"}},
+      {"jobs", {"jobs=2"}},
+      {"gallery", {"gallery=csv"}},
+  };
+  return probes;
+}
+
+/// `base` with `arg` replacing the pair of the same key (if any).
+std::vector<std::string> with_arg(std::vector<std::string> base,
+                                  const std::string& arg) {
+  if (arg.empty()) return base;
+  const std::string key = arg.substr(0, arg.find('=') + 1);
+  std::erase_if(base,
+                [&](const std::string& a) { return a.rfind(key, 0) == 0; });
+  base.push_back(arg);
+  return base;
+}
+
+/// Final DOFs of every cell, then every receiver sample time and value.
+std::vector<double> run_bytes(Simulation& sim) {
+  sim.run();
+  const SolverBase& solver = sim.solver();
+  std::vector<double> out;
+  for (int c = 0; c < solver.grid().num_cells(); ++c)
+    out.insert(out.end(), solver.cell_dofs(c),
+               solver.cell_dofs(c) + solver.layout().size());
+  const ReceiverNetwork& receivers = *sim.receivers();
+  out.insert(out.end(), receivers.times().begin(), receivers.times().end());
+  for (std::size_t s = 0; s < receivers.num_samples(); ++s)
+    for (std::size_t r = 0; r < receivers.num_receivers(); ++r)
+      for (std::size_t q = 0; q < receivers.quantities().size(); ++q)
+        out.push_back(receivers.value(s, r, q));
+  return out;
+}
+
+/// z extent of shard 0 — where a 1x1x2 split cuts the mesh.
+int first_shard_depth(const Simulation& sim) {
+  const auto* sharded = dynamic_cast<const ShardedSolver*>(&sim.solver());
+  return sharded == nullptr ? -1 : sharded->partition().subdomain(0).size[2];
+}
+
+TEST(ConfigKeys, NeutralFlagsHoldForEveryRow) {
+  // The soft layer's cluster (1, half the halfspace's rate) measured 50x
+  // costlier per substep: shard 0, which holds the layer, must shrink.
+  std::ofstream(kBalanceTable) << "elastic 3 1 50\n";
+  std::remove(kAutotuneTable);
+
+  const auto& probes = key_probes();
+  for (const auto& [name, probe] : probes) {
+    EXPECT_TRUE(std::any_of(config_keys().begin(), config_keys().end(),
+                            [&](const ConfigKey& row) {
+                              return row.name == name;
+                            }))
+        << "stale probe for " << name;
+  }
+  for (const ConfigKey& row : config_keys()) {
+    SCOPED_TRACE(row.name);
+    const auto it = probes.find(row.name);
+    ASSERT_NE(it, probes.end())
+        << "config key \"" << row.name
+        << "\" has no probe: decide whether it is neutral and add one";
+    const KeyProbe& probe = it->second;
+    if (!row.apply && row.alias_of.empty()) {
+      EXPECT_THROW(parse_simulation_args(with_arg(probe.base, probe.arg)),
+                   std::invalid_argument);
+      continue;
+    }
+    const SimulationConfig base = parse_simulation_args(probe.base);
+    SimulationConfig flipped =
+        parse_simulation_args(with_arg(probe.base, probe.arg));
+    if (probe.edit) probe.edit(flipped);
+    if (!row.neutral) {
+      EXPECT_NE(canonical_config_string(base),
+                canonical_config_string(flipped));
+      continue;
+    }
+    EXPECT_EQ(canonical_config_string(base), canonical_config_string(flipped));
+    Simulation a = Simulation::from_config(base);
+    Simulation b = Simulation::from_config(flipped);
+    if (row.name == "balance") {
+      EXPECT_NE(first_shard_depth(a), first_shard_depth(b))
+          << "the balance table did not move the shard cut";
+    }
+    const std::vector<double> bytes_a = run_bytes(a);
+    const std::vector<double> bytes_b = run_bytes(b);
+    ASSERT_EQ(bytes_a.size(), bytes_b.size());
+    EXPECT_EQ(std::memcmp(bytes_a.data(), bytes_b.data(),
+                          bytes_a.size() * sizeof(double)),
+              0);
+  }
+  std::remove(kBalanceTable);
+  std::remove(kAutotuneTable);
 }
 
 TEST(ConfigParse, StreamingOutputAndReceiverKeys) {

@@ -294,6 +294,21 @@ TEST(SimulationPool, ThreadCountDoesNotSplitTheMemoKey) {
   EXPECT_EQ(results[0].l2_error, results[1].l2_error);
 }
 
+TEST(SimulationPool, ImplicitDefaultPdeSharesTheMemoKey) {
+  // The parser resolves an absent pde= to the scenario's default, so
+  // spelling that default out is the same config — a cache hit.
+  SimulationPool pool;
+  pool.submit({"scenario=planewave", "order=3", "cells=2", "t_end=0.01",
+               "threads=1"});
+  pool.submit({"scenario=planewave", "order=3", "cells=2", "t_end=0.01",
+               "threads=1", "pde=acoustic"});
+  const auto results = pool.run();
+  EXPECT_EQ(pool.runs_executed(), 1);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[1].from_cache);
+  EXPECT_EQ(results[0].l2_error, results[1].l2_error);
+}
+
 TEST(SimulationPool, OneFailingJobDoesNotKillTheBatch) {
   PoolOptions options;
   options.jobs = 2;
