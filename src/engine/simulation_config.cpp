@@ -326,16 +326,6 @@ const std::vector<ConfigKey>& config_keys() {
           "cluster cap: auto (default, wave-speed spread decides)\n"
           "or N >= 1",
           FIELD(lts_clusters), auto_count),
-      row("lts_rate", "2",
-          "rate ratio between adjacent clusters (only 2 is supported)",
-          FIELD(lts_rate),
-          [](const std::string& key, const std::string& value) {
-            EXASTP_CHECK_MSG(parse_int(key, value) == 2,
-                             key + "=" + value +
-                                 " (only the power-of-two schedule, rate 2, "
-                                 "is supported)");
-            return 2;
-          }),
       neutral(row("balance", "PATH",
                   "measured-cost balance table: weight shard splits by "
                   "measured\nper-cluster cost, update with this run, save "

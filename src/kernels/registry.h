@@ -34,6 +34,23 @@ inline constexpr StpVariant kAllVariants[] = {
 
 namespace detail {
 
+/// Wraps a kernel object (anything with layout(), workspace_bytes() and
+/// compute()) into the type-erased StpKernel; the closure shares `impl`.
+template <class Impl>
+StpKernel wrap(StpVariant variant, std::shared_ptr<Impl> impl,
+               Precision precision = Precision::kF64) {
+  const AosLayout layout = impl->layout();
+  const std::size_t footprint = impl->workspace_bytes();
+  return StpKernel(variant, layout, footprint,
+                   [impl = std::move(impl)](
+                       const double* q, double dt,
+                       const std::array<double, 3>& inv_dx,
+                       const SourceTerm* source, const StpOutputs& out) {
+                     impl->compute(q, dt, inv_dx, source, out);
+                   },
+                   precision);
+}
+
 /// fp32 instantiations of the two SplitCK-family kernels. Only these two
 /// variants carry an fp32 path: they are the memory-bound production
 /// kernels where halved DOF bytes pay off; the generic/LoG/SoA-UF variants
@@ -43,31 +60,16 @@ template <class Pde>
 StpKernel make_f32_kernel(Pde pde, StpVariant variant, int order, Isa isa,
                           NodeFamily family) {
   switch (variant) {
-    case StpVariant::kSplitCk: {
-      auto impl = std::make_shared<SplitCkStpT<Pde, float>>(std::move(pde),
-                                                            order, isa,
-                                                            family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       },
-                       Precision::kF32);
-    }
-    case StpVariant::kAosoaSplitCk: {
-      auto impl = std::make_shared<AosoaStpT<Pde, float>>(std::move(pde),
-                                                          order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       },
-                       Precision::kF32);
-    }
+    case StpVariant::kSplitCk:
+      return wrap(variant,
+                  std::make_shared<SplitCkStpT<Pde, float>>(std::move(pde),
+                                                            order, isa, family),
+                  Precision::kF32);
+    case StpVariant::kAosoaSplitCk:
+      return wrap(variant,
+                  std::make_shared<AosoaStpT<Pde, float>>(std::move(pde),
+                                                          order, isa, family),
+                  Precision::kF32);
     default:
       EXASTP_FAIL("precision=fp32 supports variants splitck and "
                   "aosoa_splitck; variant " +
@@ -90,50 +92,18 @@ StpKernel make_stp_kernel_impl(Pde pde, StpVariant variant, int order,
       auto adapter = std::make_shared<PdeAdapter<Pde>>(std::move(pde));
       return make_generic_stp(adapter, order, family);
     }
-    case StpVariant::kLog: {
-      auto impl =
-          std::make_shared<LogStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kSplitCk: {
-      auto impl = std::make_shared<SplitCkStp<Pde>>(std::move(pde), order,
-                                                    isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kAosoaSplitCk: {
-      auto impl =
-          std::make_shared<AosoaStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kSoaUfSplitCk: {
-      auto impl =
-          std::make_shared<SoaUfStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
+    case StpVariant::kLog:
+      return wrap(variant, std::make_shared<LogStp<Pde>>(std::move(pde), order,
+                                                         isa, family));
+    case StpVariant::kSplitCk:
+      return wrap(variant, std::make_shared<SplitCkStp<Pde>>(
+                               std::move(pde), order, isa, family));
+    case StpVariant::kAosoaSplitCk:
+      return wrap(variant, std::make_shared<AosoaStp<Pde>>(std::move(pde),
+                                                           order, isa, family));
+    case StpVariant::kSoaUfSplitCk:
+      return wrap(variant, std::make_shared<SoaUfStp<Pde>>(std::move(pde),
+                                                           order, isa, family));
   }
   EXASTP_FAIL("unknown STP variant");
 }

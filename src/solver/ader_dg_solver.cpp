@@ -1,15 +1,10 @@
 #include "exastp/solver/ader_dg_solver.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
-#include "exastp/basis/lagrange.h"
+#include "exastp/common/check.h"
 #include "exastp/common/taylor.h"
-#include "exastp/gemm/vecops.h"
-#include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
@@ -23,30 +18,17 @@ AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
 AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
                            StpKernel kernel, const Grid& grid,
                            NodeFamily family)
-    : pde_(std::move(pde)),
-      kernel_(std::move(kernel)),
-      grid_(grid),
-      basis_(basis_tables(kernel_.layout().n, family)),
-      layout_(kernel_.layout()),
-      face_layout_(layout_),
-      cell_size_(layout_.size()),
-      vars_(pde_ ? pde_->info().vars : 0) {
+    : DgSolver(std::move(pde), grid, kernel.layout(), family),
+      kernel_(std::move(kernel)) {
   EXASTP_CHECK_MSG(pde_ != nullptr && kernel_, "solver needs pde and kernel");
   EXASTP_CHECK_MSG(pde_->info().quants == layout_.m,
                    "kernel layout does not match the PDE");
-  // Halo slots extend every buffer so the corrector's neighbour accessor
-  // is one base pointer for owned and exchanged cells alike; only qavg's
-  // halo is ever filled (step_phase_halo_fields; under LTS also
+  // Halo slots extend every buffer like q_, so the corrector's neighbour
+  // accessor is one base pointer for owned and exchanged cells alike; only
+  // qavg's halo is ever filled (step_phase_halo_fields; under LTS also
   // qavg_half's and qavg_sum's), the others stay zero.
-  const std::size_t total =
-      static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *
-      cell_size_;
-  q_.assign(total, 0.0);
-  qnew_.assign(total, 0.0);
-  qavg_.assign(total, 0.0);
-  CellClassification cells = classify_cells(grid_);
-  interior_cells_ = std::move(cells.interior);
-  boundary_cells_ = std::move(cells.boundary);
+  qnew_.assign(q_.size(), 0.0);
+  qavg_.assign(q_.size(), 0.0);
   rebuild_scratch();
 }
 
@@ -75,71 +57,6 @@ void AderDgSolver::rebuild_scratch() {
     ts.faces.resize(face_layout_);
     scratch_.push_back(std::move(ts));
   }
-}
-
-void AderDgSolver::set_initial_condition(
-    const std::function<void(const std::array<double, 3>&, double*)>& init) {
-  const int n = layout_.n;
-  std::vector<double> node(layout_.m);
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    double* cell = mutable_cell_dofs(c);
-    for (int k3 = 0; k3 < n; ++k3)
-      for (int k2 = 0; k2 < n; ++k2)
-        for (int k1 = 0; k1 < n; ++k1) {
-          init(node_position(c, k1, k2, k3), node.data());
-          double* dst = cell + layout_.idx(k3, k2, k1, 0);
-          std::memcpy(dst, node.data(), layout_.m * sizeof(double));
-          for (int s = layout_.m; s < layout_.m_pad; ++s) dst[s] = 0.0;
-        }
-  }
-  time_ = 0.0;
-  // Material parameters may have changed; the wave-speed cache rebuilds
-  // on the next stable_dt call.
-  wave_speed_cache_.clear();
-}
-
-void AderDgSolver::add_point_source(const MeshPointSource& source) {
-  prepare_point_source(source, vars_);
-}
-
-std::array<double, 3> AderDgSolver::node_position(int cell, int k1, int k2,
-                                                  int k3) const {
-  const auto o = grid_.cell_origin(cell);
-  return {o[0] + grid_.dx(0) * basis_.nodes[k1],
-          o[1] + grid_.dx(1) * basis_.nodes[k2],
-          o[2] + grid_.dx(2) * basis_.nodes[k3]};
-}
-
-double AderDgSolver::stable_dt(double cfl) const {
-  const int n = layout_.n;
-  if (wave_speed_cache_.empty()) {
-    // Per-cell maxima, computed once per initial condition: every PDE's
-    // max_wave_speed reads only material parameter rows, which the zero
-    // flux rows keep constant in time, so the eigenvalue sweep need not
-    // rerun every step. max commutes exactly, so the cached per-cell
-    // values — and the reduction below — stay bitwise-independent of the
-    // thread count.
-    const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
-    wave_speed_cache_.assign(static_cast<std::size_t>(grid_.num_cells()),
-                             0.0);
-    par_.run(grid_.num_cells(), 1, [&](int /*tid*/, long begin, long end) {
-      for (long c = begin; c < end; ++c) {
-        const double* cell = cell_dofs(static_cast<int>(c));
-        double cell_max = 0.0;
-        for (std::size_t k = 0; k < nodes; ++k)
-          for (int d = 0; d < 3; ++d)
-            cell_max = std::max(
-                cell_max, pde_->max_wave_speed(cell + k * layout_.m_pad, d));
-        wave_speed_cache_[static_cast<std::size_t>(c)] = cell_max;
-      }
-    });
-  }
-  double smax = 1e-300;
-  for (double s : wave_speed_cache_) smax = std::max(smax, s);
-  const double hmin =
-      std::min({grid_.dx(0), grid_.dx(1), grid_.dx(2)});
-  // Standard explicit-DG CFL bound ~ h / (c (2N - 1)) per dimension.
-  return cfl * hmin / (smax * (2.0 * n - 1.0) * 3.0);
 }
 
 void AderDgSolver::predict_cell(
@@ -217,18 +134,7 @@ void AderDgSolver::predict_cell(
   }
 }
 
-void AderDgSolver::step(double dt) {
-  for (int phase = 0; phase < num_step_phases(); ++phase)
-    step_phase(phase, dt);
-}
-
-void AderDgSolver::step_phase(int phase, double dt) {
-  step_phase_interior(phase, dt);
-  step_phase_boundary(phase, dt);
-}
-
 void AderDgSolver::step_phase_interior(int phase, double dt) {
-  EXASTP_CHECK_MSG(dt > 0.0, "dt must be positive");
   if (lts_enabled_) {
     EXASTP_CHECK(phase >= 0 && phase < 2 * macro_substeps_);
     const int s = phase / 2;
@@ -530,29 +436,6 @@ std::vector<SolverBase::PhaseHaloField> AderDgSolver::step_phase_halo_fields(
     fields.push_back(PhaseHaloField{qavg_sum_.data(), 2});
   }
   return fields;
-}
-
-void AderDgSolver::check_finite() const {
-  // Per-chunk verdicts with early exit; "any non-finite" commutes, so the
-  // outcome is thread-count-independent.
-  std::vector<char> bad(static_cast<std::size_t>(par_.num_threads()), 0);
-  par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-    for (long c = begin; c < end; ++c) {
-      const double* cell = cell_dofs(static_cast<int>(c));
-      for (std::size_t i = 0; i < cell_size_; ++i) {
-        if (!std::isfinite(cell[i])) {
-          bad[static_cast<std::size_t>(tid)] = 1;
-          return;
-        }
-      }
-    }
-  });
-  for (char b : bad) {
-    if (b != 0)
-      throw std::runtime_error(
-          "AderDgSolver: solution became non-finite (CFL violation or "
-          "unstable setup)");
-  }
 }
 
 }  // namespace exastp

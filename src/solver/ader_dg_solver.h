@@ -10,33 +10,24 @@
 //      build a ghost state from the boundary condition;
 //   3. swap buffers, advance time, verify the solution stayed finite.
 //
-// Both mesh traversals are cell-parallel (ParallelFor): every write
-// belongs to the traversed cell, each thread runs a forked kernel clone
-// and its own aligned face scratch. An interior face is visited from both
-// adjacent cells, which recomputes its Riemann solve once per side — the
-// same fstar bits from identical inputs — so the update needs no face
-// ownership, no coloring, and is bitwise-identical for any thread count.
+// Both mesh traversals are cell-parallel, each thread running a forked
+// kernel clone (thread determinism: dg_solver.h).
 //
 // DOF storage is one contiguous aligned block in the *kernel's* AoS layout
 // (padded for the optimized variants), so the engine exercises exactly the
 // data layout the paper optimizes.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "exastp/basis/basis_tables.h"
 #include "exastp/kernels/face.h"
 #include "exastp/kernels/stp_common.h"
-#include "exastp/mesh/grid.h"
-#include "exastp/pde/pde_base.h"
-#include "exastp/pde/point_source.h"
-#include "exastp/solver/solver_base.h"
+#include "exastp/solver/dg_solver.h"
 
 namespace exastp {
 
-class AderDgSolver final : public SolverBase {
+class AderDgSolver final : public DgSolver {
  public:
   /// `pde` is the runtime view used for face terms and boundary conditions;
   /// `kernel` must have been built for the same PDE (same quantity count).
@@ -48,40 +39,17 @@ class AderDgSolver final : public SolverBase {
   AderDgSolver(std::shared_ptr<const PdeRuntime> pde, StpKernel kernel,
                const Grid& grid, NodeFamily family = NodeFamily::kGaussLegendre);
 
-  const Grid& grid() const override { return grid_; }
-  const AosLayout& layout() const override { return layout_; }
-  const BasisTables& basis() const override { return basis_; }
-  double time() const override { return time_; }
-  int order() const override { return basis_.n; }
-  int evolved_quantities() const override { return vars_; }
   std::string stepper_name() const override { return "ader"; }
-
-  void set_initial_condition(const InitialCondition& init) override;
-
-  void add_point_source(const MeshPointSource& source) override;
-  bool supports_point_sources() const override { return true; }
 
   /// Rebuilds the per-thread kernel clones and face scratch; teams > 1
   /// thread require a kernel built through make_stp_kernel (forkable).
   void set_thread_team(const ParallelFor& team) override;
 
-  /// CFL-limited stable time step from the current solution. The per-cell
-  /// maximum wave speed is cached on first use: every registered PDE's
-  /// speed depends only on material parameter rows, which are constant in
-  /// time (zero flux), so recomputing the eigenvalue sweep each step is
-  /// pure waste. set_initial_condition invalidates the cache.
-  double stable_dt(double cfl = 0.4) const override;
-
-  /// Advances by one step of size dt. Throws std::runtime_error if the
-  /// solution leaves the finite range (blow-up detection). Under clustered
-  /// LTS, dt is the MACRO step (the coarsest cluster's dt); the finest
-  /// cluster substeps at dt / 2^(K-1).
-  void step(double dt) override;
-
   // ---- Clustered local time stepping ----------------------------------
   // enable_lts switches the stepper to the clustered schedule: cluster k
   // steps with dt_k = dt_fine * 2^k, one macro step = 2^(K-1) fine
-  // substeps. Cross-cluster faces use the CK/Taylor identity
+  // substeps; step(dt) then advances one MACRO step (the coarsest
+  // cluster's dt). Cross-cluster faces use the CK/Taylor identity
   //   avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2]
   // so a coarse cell runs its predictor twice (dt -> qavg, dt/2 ->
   // qavg_half) when it has a finer face neighbour, and a fine cell
@@ -116,22 +84,9 @@ class AderDgSolver final : public SolverBase {
   int num_step_phases() const override {
     return lts_enabled_ ? 2 * macro_substeps_ : 2;
   }
-  void step_phase(int phase, double dt) override;
   void step_phase_interior(int phase, double dt) override;
   void step_phase_boundary(int phase, double dt) override;
   std::vector<PhaseHaloField> step_phase_halo_fields(int phase) override;
-
-  /// Read-only view of a cell's padded AoS DOFs.
-  const double* cell_dofs(int cell) const override {
-    return q_.data() + static_cast<std::size_t>(cell) * cell_size_;
-  }
-  double* mutable_cell_dofs(int cell) {
-    return q_.data() + static_cast<std::size_t>(cell) * cell_size_;
-  }
-
-  /// Physical position of a quadrature node of a cell.
-  std::array<double, 3> node_position(int cell, int k1, int k2,
-                                      int k3) const override;
 
  private:
   /// Everything one worker thread mutates outside its q/qnew/qavg slices:
@@ -163,22 +118,9 @@ class AderDgSolver final : public SolverBase {
   /// Timed corrector sweep over one of cluster k's cell lists.
   void correct_cluster(int k, int s, double dt_k,
                        const std::vector<int>& cells);
-  void check_finite() const;
 
-  std::shared_ptr<const PdeRuntime> pde_;
   StpKernel kernel_;
-  Grid grid_;
-  const BasisTables& basis_;
-  AosLayout layout_;
-  FaceLayout face_layout_;
-  std::size_t cell_size_;
-  int vars_ = 0;  ///< evolved quantities (parameters excluded)
-
-  AlignedVector q_, qnew_, qavg_;
-  /// Interior/boundary split of the corrector sweep (mesh/partition.h);
-  /// boundary is empty for whole-domain grids, so the monolithic path is
-  /// one full interior sweep.
-  std::vector<int> interior_cells_, boundary_cells_;
+  AlignedVector qnew_, qavg_;
   std::vector<ThreadScratch> scratch_;  ///< one slot per thread
 
   // ---- Clustered-LTS state (inert until enable_lts) -------------------
@@ -200,12 +142,6 @@ class AderDgSolver final : public SolverBase {
   /// Measured per-cluster cost: wall ns inside the cluster's sweeps and
   /// cell-substeps executed (the balance table's denominator).
   std::vector<long long> cluster_ns_, cluster_cell_substeps_;
-
-  /// Per-cell max wave speed over nodes and directions; parameter-only,
-  /// so it survives until the next set_initial_condition.
-  mutable std::vector<double> wave_speed_cache_;
-
-  double time_ = 0.0;
 };
 
 }  // namespace exastp

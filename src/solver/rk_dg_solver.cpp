@@ -1,12 +1,10 @@
 #include "exastp/solver/rk_dg_solver.h"
 
-#include <cmath>
 #include <cstring>
-#include <stdexcept>
 
+#include "exastp/common/check.h"
 #include "exastp/gemm/vecops.h"
 #include "exastp/kernels/derivative_ops.h"
-#include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
@@ -27,27 +25,14 @@ RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
 
 RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
                        Isa isa, const Grid& grid, NodeFamily family)
-    : pde_(std::move(pde)),
-      grid_(grid),
-      basis_(basis_tables(order, family)),
-      isa_(isa),
-      layout_(order, pde_->info().quants, isa),
-      face_layout_(layout_),
-      cell_size_(layout_.size()),
-      vars_(pde_->info().vars) {
-  // Halo slots extend every buffer uniformly; only q/stage halos are ever
-  // filled (step_phase_halo_fields), and the element-wise RK sweeps stay on the
-  // owned range.
-  const std::size_t total =
-      static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *
-      cell_size_;
-  q_.assign(total, 0.0);
-  stage_.assign(total, 0.0);
-  rhs_.assign(total, 0.0);
-  accum_.assign(total, 0.0);
-  CellClassification cells = classify_cells(grid_);
-  interior_cells_ = std::move(cells.interior);
-  boundary_cells_ = std::move(cells.boundary);
+    : DgSolver(pde, grid, AosLayout(order, pde->info().quants, isa), family),
+      isa_(isa) {
+  // Halo slots extend every buffer like q_; only q/stage halos are ever
+  // filled (step_phase_halo_fields), and the element-wise RK sweeps stay
+  // on the owned range.
+  stage_.assign(q_.size(), 0.0);
+  rhs_.assign(q_.size(), 0.0);
+  accum_.assign(q_.size(), 0.0);
   rebuild_scratch();
 }
 
@@ -67,60 +52,6 @@ void RkDgSolver::rebuild_scratch() {
     ts.ncp_tmp.resize(static_cast<std::size_t>(layout_.m));
     scratch_.push_back(std::move(ts));
   }
-}
-
-void RkDgSolver::set_initial_condition(
-    const std::function<void(const std::array<double, 3>&, double*)>& init) {
-  const int n = layout_.n;
-  std::vector<double> node(layout_.m);
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    double* cell = q_.data() + static_cast<std::size_t>(c) * cell_size_;
-    for (int k3 = 0; k3 < n; ++k3)
-      for (int k2 = 0; k2 < n; ++k2)
-        for (int k1 = 0; k1 < n; ++k1) {
-          init(node_position(c, k1, k2, k3), node.data());
-          double* dst = cell + layout_.idx(k3, k2, k1, 0);
-          std::memcpy(dst, node.data(), layout_.m * sizeof(double));
-          for (int s = layout_.m; s < layout_.m_pad; ++s) dst[s] = 0.0;
-        }
-  }
-  time_ = 0.0;
-}
-
-void RkDgSolver::add_point_source(const MeshPointSource& source) {
-  prepare_point_source(source, vars_);
-}
-
-std::array<double, 3> RkDgSolver::node_position(int cell, int k1, int k2,
-                                                int k3) const {
-  const auto o = grid_.cell_origin(cell);
-  return {o[0] + grid_.dx(0) * basis_.nodes[k1],
-          o[1] + grid_.dx(1) * basis_.nodes[k2],
-          o[2] + grid_.dx(2) * basis_.nodes[k3]};
-}
-
-double RkDgSolver::stable_dt(double cfl) const {
-  const int n = layout_.n;
-  const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
-  // Per-chunk maxima: max commutes exactly, so the result stays bitwise-
-  // independent of the thread count even though chunk bounds are not.
-  std::vector<double> partials(static_cast<std::size_t>(par_.num_threads()),
-                               0.0);
-  par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-    double chunk_max = 0.0;
-    for (long c = begin; c < end; ++c) {
-      const double* cell = cell_dofs(static_cast<int>(c));
-      for (std::size_t k = 0; k < nodes; ++k)
-        for (int d = 0; d < 3; ++d)
-          chunk_max = std::max(
-              chunk_max, pde_->max_wave_speed(cell + k * layout_.m_pad, d));
-    }
-    partials[static_cast<std::size_t>(tid)] = chunk_max;
-  });
-  double smax = 1e-300;
-  for (double s : partials) smax = std::max(smax, s);
-  const double hmin = std::min({grid_.dx(0), grid_.dx(1), grid_.dx(2)});
-  return cfl * hmin / (smax * (2.0 * n - 1.0) * 3.0);
 }
 
 void RkDgSolver::operator_cell(ThreadScratch& ts, const AlignedVector& state,
@@ -189,18 +120,7 @@ void RkDgSolver::evaluate_operator(const AlignedVector& state, double t,
            });
 }
 
-void RkDgSolver::step(double dt) {
-  for (int phase = 0; phase < num_step_phases(); ++phase)
-    step_phase(phase, dt);
-}
-
-void RkDgSolver::step_phase(int phase, double dt) {
-  step_phase_interior(phase, dt);
-  step_phase_boundary(phase, dt);
-}
-
 void RkDgSolver::step_phase_interior(int phase, double dt) {
-  if (dt <= 0.0) throw std::invalid_argument("RkDgSolver: dt must be > 0");
   EXASTP_CHECK(phase >= 0 && phase < 4);
   // The stage operator over the interior set: these cells read no halo
   // tensors of the stage's input state, so the sweep runs while the
@@ -267,27 +187,6 @@ void RkDgSolver::step_phase_boundary(int phase, double dt) {
       time_ += dt;
       check_finite();
       break;
-  }
-}
-
-void RkDgSolver::check_finite() const {
-  // Per-chunk verdicts with early exit; "any non-finite" commutes, so the
-  // outcome is thread-count-independent.
-  std::vector<char> bad(static_cast<std::size_t>(par_.num_threads()), 0);
-  par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-    for (long c = begin; c < end; ++c) {
-      const double* cell = cell_dofs(static_cast<int>(c));
-      for (std::size_t i = 0; i < cell_size_; ++i) {
-        if (!std::isfinite(cell[i])) {
-          bad[static_cast<std::size_t>(tid)] = 1;
-          return;
-        }
-      }
-    }
-  });
-  for (char b : bad) {
-    if (b != 0)
-      throw std::runtime_error("RkDgSolver: solution became non-finite");
   }
 }
 

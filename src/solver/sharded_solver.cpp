@@ -145,6 +145,8 @@ std::vector<ExchangeField> ShardedSolver::phase_exchange_fields(
 }
 
 void ShardedSolver::step(double dt) {
+  // The shards' phase sweeps run without step_phase's dt guard.
+  EXASTP_CHECK_MSG(dt > 0.0, "dt must be positive");
   const int phases = num_step_phases();
   // The whole step's exchange plan is known up front: a phase's halo
   // fields are a pure function of the phase (stable preallocated

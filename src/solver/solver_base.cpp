@@ -78,22 +78,6 @@ int SolverBase::run_until(double t_end, double cfl) {
   return steps;
 }
 
-void SolverBase::prepare_point_source(const MeshPointSource& source,
-                                      int vars) {
-  EXASTP_CHECK_MSG(source.wavelet != nullptr, "source needs a wavelet");
-  EXASTP_CHECK_MSG(source.quantity >= 0 && source.quantity < vars,
-                   "source quantity must be an evolved variable");
-  PreparedSource prepared;
-  std::array<double, 3> xi{};
-  prepared.cell = grid().locate(source.position, &xi);
-  for (const auto& existing : sources_)
-    EXASTP_CHECK_MSG(existing.cell != prepared.cell,
-                     "only one point source per cell is supported");
-  prepared.source = source;
-  prepared.psi = project_point_source(basis(), xi, grid().cell_volume());
-  sources_.push_back(std::move(prepared));
-}
-
 double SolverBase::sample(const std::array<double, 3>& x, int quantity) const {
   std::array<double, 3> xi{};
   const int cell = grid().locate(x, &xi);

@@ -64,7 +64,7 @@ class SolverBase {
   /// defaults to 1 (serial, the benches' per-core measurement mode); the
   /// Simulation façade applies the config's `threads` key. `threads` < 1
   /// means "auto" (hardware concurrency). Results are bitwise-identical
-  /// for every thread count — see README "Threading".
+  /// for every thread count — see dg_solver.h.
   void set_num_threads(int threads) { set_thread_team(ParallelFor(threads)); }
   /// Adopts an existing thread team (ParallelFor copies share one pool).
   /// The sharded composite hands every shard the same team — shards step
@@ -213,20 +213,6 @@ class SolverBase {
   double sample(const std::array<double, 3>& x, int quantity) const;
 
  protected:
-  /// A point source located on the mesh and projected onto the nodal basis
-  /// of its cell.
-  struct PreparedSource {
-    int cell = -1;
-    MeshPointSource source;
-    AlignedVector psi;
-  };
-
-  /// Shared add_point_source body for steppers that support sources:
-  /// validates the wavelet and quantity (`vars` = evolved-quantity count),
-  /// locates the cell and projects the delta onto its basis.
-  void prepare_point_source(const MeshPointSource& source, int vars);
-
-  std::vector<PreparedSource> sources_;
   /// The thread team the subclass hot loops run on (1 thread by default).
   ParallelFor par_;
 

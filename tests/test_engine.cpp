@@ -187,9 +187,6 @@ const std::map<std::string, KeyProbe>& key_probes() {
       {"autotune", {std::string("autotune=") + kAutotuneTable}},
       {"lts", {"lts=on"}},
       {"lts_clusters", {"lts_clusters=2"}},
-      // Only rate 2 parses today; a future rate must still split the key.
-      {"lts_rate",
-       {"", kProbeBase, [](SimulationConfig& c) { c.lts_rate = 4; }}},
       {"balance", {std::string("balance=") + kBalanceTable, kBalanceBase}},
       {"cells", {"cells=3x2x2"}},
       {"extent", {"extent=2"}},

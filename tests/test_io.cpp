@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -41,9 +42,9 @@ Simulation planewave_sim(const std::vector<std::string>& extra = {}) {
   // A base default survives only when `extra` does not set the same key —
   // duplicate config keys are a hard parse error.
   std::vector<std::string> args;
-  for (const std::string& def :
+  for (const char* def :
        {"scenario=planewave", "order=4", "cells=3x3x3", "t_end=0.1"}) {
-    const std::string key = def.substr(0, def.find('=') + 1);
+    const std::string key(def, std::strchr(def, '=') + 1);
     bool overridden = false;
     for (const std::string& arg : extra)
       if (arg.rfind(key, 0) == 0) overridden = true;

@@ -1,7 +1,7 @@
 // Clustered local time stepping (docs/lts.md).
 //
 // Under test:
-//   * the lts= / lts_clusters= / lts_rate= / balance= config keys: parsing,
+//   * the lts= / lts_clusters= / balance= config keys: parsing,
 //     validation, canonical-string membership (the schedule keys split the
 //     memoization key, the balance table path does not),
 //   * rate-cluster binning from local wave speeds: the floor(log2) rule,
@@ -48,11 +48,9 @@ namespace {
 
 TEST(LtsConfig, KeysParseAndValidate) {
   SimulationConfig config = parse_simulation_args(
-      {"scenario=planewave", "lts=on", "lts_clusters=3", "lts_rate=2",
-       "balance=bal.txt"});
+      {"scenario=planewave", "lts=on", "lts_clusters=3", "balance=bal.txt"});
   EXPECT_TRUE(config.lts);
   EXPECT_EQ(config.lts_clusters, 3);
-  EXPECT_EQ(config.lts_rate, 2);
   EXPECT_EQ(config.balance, "bal.txt");
 
   config = parse_simulation_args({"scenario=planewave", "lts=off",
@@ -223,10 +221,10 @@ TEST(LtsSolver, OneClusterBitwiseMatchesGlobalStepping) {
                                       "cells=4x4x2", "t_end=0.1"};
   Simulation global = run_with(base, {"shards=1", "threads=1"});
   EXPECT_EQ(global.solver().lts_num_clusters(), 1);
-  for (const std::string& shards : {"1", "2x2x1"}) {
+  for (const char* shards : {"1", "2x2x1"}) {
     for (const int threads : {1, 4}) {
       Simulation lts = run_with(
-          base, {"lts=on", "lts_clusters=1", "shards=" + shards,
+          base, {"lts=on", "lts_clusters=1", std::string("shards=") + shards,
                  "threads=" + std::to_string(threads)});
       EXPECT_EQ(lts.solver().lts_num_clusters(), 1);
       EXPECT_EQ(lts.solver().time(), global.solver().time());

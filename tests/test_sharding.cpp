@@ -418,5 +418,17 @@ TEST(Sharding, SummaryReportsTheEffectiveTopology) {
   EXPECT_NE(factored.summary().find("shards=2x2x1"), std::string::npos);
 }
 
+TEST(Sharding, StepRejectsNonPositiveDt) {
+  // The scheduler drives the shards' phase halves directly, so the sharded
+  // step checks dt itself.
+  for (const char* stepper : {"ader", "rk4"}) {
+    Simulation sim = Simulation::from_args(
+        {"scenario=planewave", "order=3", "cells=4x2x2", "shards=2x1x1",
+         std::string("stepper=") + stepper});
+    EXPECT_THROW(sim.solver().step(0.0), std::invalid_argument) << stepper;
+    EXPECT_THROW(sim.solver().step(-0.1), std::invalid_argument) << stepper;
+  }
+}
+
 }  // namespace
 }  // namespace exastp

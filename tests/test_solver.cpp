@@ -1,10 +1,13 @@
 // Integration tests for the full ADER-DG solver: exact transport, plane
 // waves, convergence orders, conservation, boundary conditions, point
-// sources, blow-up detection and cross-variant trajectory equality.
+// sources, blow-up detection, cross-variant trajectory equality and the
+// CFL bound the ADER and RK4 steppers share.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
@@ -13,6 +16,7 @@
 #include "exastp/solver/ader_dg_solver.h"
 #include "exastp/solver/norms.h"
 #include "exastp/solver/output.h"
+#include "exastp/solver/rk_dg_solver.h"
 
 namespace exastp {
 namespace {
@@ -306,19 +310,37 @@ TEST(SolverSampling, ReproducesInitialConditionPointwise) {
 }
 
 TEST(SolverDt, ScalesInverselyWithWaveSpeedAndOrder) {
+  // Both steppers share one CFL bound (DgSolver::stable_dt). Each solver
+  // is re-initialized from c = 1 to c = 2, so a stale wave-speed cache
+  // would show as an unchanged dt.
   AcousticPde pde;
-  auto make_with_c = [&](double c, int order) {
-    auto solver = make_solver(pde, StpVariant::kGeneric, order, unit_cube(2));
-    solver.set_initial_condition(
-        [&](const std::array<double, 3>&, double* q) {
-          q[0] = q[1] = q[2] = q[3] = 0.0;
-          q[AcousticPde::kRho] = 1.0;
-          q[AcousticPde::kC] = c;
-        });
-    return solver.stable_dt();
+  auto runtime = std::make_shared<PdeAdapter<AcousticPde>>(pde);
+  const auto medium = [](double c) {
+    return [c](const std::array<double, 3>&, double* q) {
+      q[0] = q[1] = q[2] = q[3] = 0.0;
+      q[AcousticPde::kRho] = 1.0;
+      q[AcousticPde::kC] = c;
+    };
   };
-  EXPECT_NEAR(make_with_c(1.0, 4) / make_with_c(2.0, 4), 2.0, 1e-10);
-  EXPECT_GT(make_with_c(1.0, 3), make_with_c(1.0, 6));
+  // dt at c = 1, then at c = 2 on the same solver.
+  const auto dt_pair = [&](SolverBase& solver) {
+    solver.set_initial_condition(medium(1.0));
+    const double slow = solver.stable_dt();
+    solver.set_initial_condition(medium(2.0));
+    return std::array<double, 2>{slow, solver.stable_dt()};
+  };
+  std::vector<double> slow_by_order;
+  for (const int order : {3, 4, 6}) {
+    AderDgSolver ader =
+        make_solver(pde, StpVariant::kGeneric, order, unit_cube(2));
+    RkDgSolver rk(runtime, order, host_best_isa(), unit_cube(2));
+    const std::array<double, 2> ader_dt = dt_pair(ader);
+    const std::array<double, 2> rk_dt = dt_pair(rk);
+    EXPECT_NEAR(ader_dt[0] / ader_dt[1], 2.0, 1e-10) << "order " << order;
+    EXPECT_EQ(ader_dt, rk_dt) << "order " << order;
+    slow_by_order.push_back(ader_dt[0]);
+  }
+  EXPECT_GT(slow_by_order.front(), slow_by_order.back());
 }
 
 }  // namespace
